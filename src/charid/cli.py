@@ -33,6 +33,7 @@ from .finite import (
     identify_finite,
     is_homomorphism_exhaustive,
 )
+from .fourier import _top_indices
 from .identify import CharacterReport, IdentifyConfig, Verdict, classify
 from .samples import (
     LineSamples,
@@ -310,13 +311,12 @@ def _finite_report(table: CharacterTable, cfg: IdentifyConfig) -> dict:
     """
     passed, worst = is_homomorphism_exhaustive(table)
     mags = np.abs(np.fft.fftn(table.values)).ravel() / table.group.size
-    order = np.argsort(-mags, kind="stable")[:5]
     peaks = [
         [
             [int(i) for i in np.unravel_index(int(flat), table.group.orders)],
             float(mags[flat]),
         ]
-        for flat in order
+        for flat in _top_indices(mags, 5)
     ]
     peak = peaks[0][1]
     dom = identify_finite(table, cfg.floor)
@@ -391,8 +391,11 @@ def generate(
         raise InputError(
             EXIT_USAGE, f"freq has {len(freqs)} entries but grid has {len(grid)}"
         )
-    if not noise >= 0.0:
-        raise InputError(EXIT_USAGE, f"noise must be >= 0, got {noise}")
+    # the jitter draw needs its width 2 * noise finite, not just noise
+    if not (noise >= 0.0 and math.isfinite(2.0 * noise)):
+        raise InputError(EXIT_USAGE, f"noise must be finite and >= 0, got {noise}")
+    if seed < 0:
+        raise InputError(EXIT_USAGE, f"seed must be >= 0, got {seed}")
     csv = output.endswith(".csv")
     if csv and (mode == "line" or len(grid) != 1):
         raise InputError(

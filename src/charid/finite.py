@@ -30,8 +30,9 @@ import numpy as np
 from .circle import root_of_unity_powers
 from .samples import IntVector, _as_vector
 
-#: Largest group size enumerate_characters accepts.
-ENUMERATION_CAP = 1 << 20
+#: Largest group size enumerate_characters accepts.  The |G| tables hold
+#: |G|^2 complex entries, 256 MiB at the cap.
+ENUMERATION_CAP = 1 << 12
 
 #: Largest group size verified over literally all pairs; seeded random pairs
 #: are used above it to keep the check bounded.

@@ -127,8 +127,11 @@ def spectrum(s: TorusSamples) -> FourierSpectrum:
     O(M log M) for M total samples, any composite grid size.  Agrees with
     :func:`coefficient` entrywise to rounding.
     """
-    shifted = np.fft.fftshift(np.fft.fftn(s.values)) / s.size
-    return FourierSpectrum(s.grid, shifted)
+    coeffs = np.fft.fftn(s.values)
+    coeffs /= s.size
+    # rebinding frees the unshifted array before FourierSpectrum copies
+    coeffs = np.fft.fftshift(coeffs)
+    return FourierSpectrum(s.grid, coeffs)
 
 
 def parseval_residual(sp: FourierSpectrum) -> float:
@@ -145,7 +148,8 @@ def parseval_residual(sp: FourierSpectrum) -> float:
 def dominant_frequency(
     sp: FourierSpectrum, floor: float = DOMINANCE_FLOOR
 ) -> tuple[tuple[int, ...], float] | None:
-    """The k maximizing |fhat(k)|, or None if that maximum is below ``floor``.
+    """The k maximizing |fhat(k)|, or None if that maximum is not finite or
+    is below ``floor``.
 
     Ties are broken by the lexicographically smallest k; Parseval makes
     near-ties impossible above floor 1/sqrt(2), so the rule only matters for
@@ -158,20 +162,47 @@ def dominant_frequency(
     # lexicographically smallest frequency tuple
     flat = int(np.argmax(mag))
     peak = float(mag.flat[flat])
-    if peak < floor:
+    # a NaN or inf sample spreads over the whole spectrum; NaN never
+    # compares below the floor, so test for acceptance instead
+    if not (math.isfinite(peak) and peak >= floor):
         return None
     idx = np.unravel_index(flat, sp.grid)
     k = tuple(int(i) - n // 2 for i, n in zip(idx, sp.grid))
     return k, peak
 
 
+def _top_indices(mag: np.ndarray, count: int) -> np.ndarray:
+    """Flat indices of the ``count`` largest entries of the 1-D ``mag``.
+
+    The order is exactly that of ``np.argsort(-mag, kind="stable")[:count]``:
+    value descending, ties by ascending index, NaN last.  A partition finds
+    the value at place ``count`` (the cut); only the fewer than ``count``
+    entries strictly above it are sorted, and the remaining places take the
+    lowest indices among the entries equal to it.  In a shifted spectrum
+    ascending flat index is lexicographic k, so this is the tie-break the
+    reports promise, at O(M) instead of O(M log M).
+    """
+    count = max(0, count)
+    if 0 < count < mag.size:
+        part = -mag
+        part.partition(count - 1)
+        cut = -part[count - 1]
+        # a NaN cut means fewer than count non-NaN entries; the full sort
+        # below then places the NaN tail in index order
+        if not math.isnan(cut):
+            above = np.flatnonzero(mag > cut)
+            above = above[np.argsort(-mag[above], kind="stable")]
+            tied = np.flatnonzero(mag == cut)[: count - above.size]
+            return np.concatenate([above, tied])
+    return np.argsort(-mag, kind="stable")[:count]
+
+
 def top_peaks(sp: FourierSpectrum, count: int = 5) -> list[tuple[tuple[int, ...], float]]:
     """The ``count`` largest |fhat(k)|, sorted by magnitude descending with
     lexicographic k as the deterministic tie-break."""
     mag = np.abs(sp.coeffs).ravel()
-    order = np.argsort(-mag, kind="stable")[: max(0, count)]
     out = []
-    for flat in order:
+    for flat in _top_indices(mag, count):
         idx = np.unravel_index(int(flat), sp.grid)
         k = tuple(int(i) - n // 2 for i, n in zip(idx, sp.grid))
         out.append((k, float(mag[flat])))

@@ -67,6 +67,8 @@ class IdentifyConfig:
             )
         if self.hom_trials < 1:
             raise ValueError(f"hom_trials must be >= 1, got {self.hom_trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -64,3 +64,9 @@ def exhaustive_hom_defect(values: np.ndarray, grid: tuple[int, ...]) -> float:
             ab = tuple((ai + bi) % n for ai, bi, n in zip(a, b, grid))
             worst = max(worst, abs(vals[ab] - vals[a] * vals[b]))
     return worst
+
+
+def oracle_top_k(mag: np.ndarray, count: int) -> np.ndarray:
+    """Flat indices of the ``count`` largest magnitudes by one full stable
+    sort: value descending, ties by ascending index, NaN last."""
+    return np.argsort(-np.ravel(mag), kind="stable")[: max(0, count)]

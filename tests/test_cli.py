@@ -252,6 +252,33 @@ def test_exit_codes_through_main(tmp_path, capsys):
     assert run_main(capsys, ["analyze", "--input", halfmod, "--mode", "torus"])[0] == EXIT_INVARIANT
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", "torus.json", "--mode", "torus", "--seed", "-1"],
+        ["analyze", "--input", "line.json", "--mode", "line", "--seed", "-1"],
+        ["analyze", "--input", "finite.json", "--mode", "finite", "--seed", "-1"],
+        ["generate", "--mode", "torus", "--freq", "1", "--grid", "8",
+         "--noise", "0.1", "--seed", "-5", "--output", "out.json"],
+        ["generate", "--mode", "torus", "--freq", "1", "--grid", "8",
+         "--noise", "inf", "--output", "out.json"],
+        ["generate", "--mode", "torus", "--freq", "1", "--grid", "8",
+         "--noise", "1e308", "--output", "out.json"],
+    ],
+)
+def test_bad_seed_or_noise_is_a_usage_error(tmp_path, capsys, argv):
+    for mode, freq in [("torus", "1"), ("line", "1.5"), ("finite", "1")]:
+        main(["generate", "--mode", mode, "--freq", freq, "--grid", "8",
+              "--output", str(tmp_path / f"{mode}.json")])
+    capsys.readouterr()
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_main(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("charid: error:") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_endpoint_flag_misuse(tmp_path, capsys):
     fixture = str(tmp_path / "f.json")
     main(["generate", "--mode", "torus", "--freq", "1", "--grid", "8",

@@ -1,5 +1,7 @@
 """Finite abelian groups: enumeration, exhaustive verification, dual identification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from charid import finite
 from charid.finite import (
     ALL_PAIRS_CAP,
+    ENUMERATION_CAP,
     CharacterTable,
     FiniteGroupSpec,
     character_table,
@@ -61,6 +64,20 @@ def test_enumeration_cap_enforced():
         enumerate_characters(FiniteGroupSpec((2048, 1024)))
 
 
+def test_enumeration_cap_refuses_before_allocating():
+    # |G| tables of |G| complex entries at the cap stay within 256 MiB
+    assert ENUMERATION_CAP**2 * np.dtype(np.complex128).itemsize <= 1 << 28
+    g = FiniteGroupSpec((ENUMERATION_CAP + 1,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            enumerate_characters(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_crt_bijection_z6_vs_z2xz3():
     # m <-> (m mod 2, m mod 3) identifies Z_6 with Z_2 x Z_3 and sends
     # chi_(k1,k2) to chi_(3 k1 + 2 k2 mod 6)
@@ -90,8 +107,9 @@ def test_exhaustive_check_matches_loop_oracle():
 
 
 def test_blocked_kernel_matches_loop_oracle():
-    # 10 x 13 = 130 elements puts 130^2 pairs just past the single-shot
-    # threshold, exercising the row-blocked triangle path against the loops
+    # 10 x 13 = 130 elements on two axes, the longer one already last; the
+    # whole half window fits in one block (test_kernel_blocks_cover_every_pair
+    # splits it across many)
     rng = np.random.default_rng(6)
     t = CharacterTable(
         FiniteGroupSpec((10, 13)),

@@ -19,7 +19,7 @@ from charid.fourier import (
 )
 from charid.samples import TorusSamples, sample_character_torus
 
-from oracles import oracle_coefficient, oracle_spectrum
+from oracles import oracle_coefficient, oracle_spectrum, oracle_top_k
 
 # exp(i sin x) = sum_n J_n(1) exp(i n x); aliasing terms are ~1e-110 at N=64
 BESSEL_J0_1 = 0.76519768655796655145
@@ -117,6 +117,44 @@ def test_exact_ties_break_lexicographically():
     assert k == (-2,)
     peaks = top_peaks(sp, 2)
     assert [p[0] for p in peaks] == [(-2,), (1,)]
+
+
+#: Real and imaginary parts of tie-heavy spectra: few magnitude levels, both
+#: signed zeros and NaN.
+TIE_PARTS = (0.0, -0.0, 0.25, 0.5, 1.0, math.nan)
+
+
+@st.composite
+def tie_heavy_spectra(draw):
+    grid = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    size = math.prod(grid)
+    parts = st.lists(st.sampled_from(TIE_PARTS), min_size=size, max_size=size)
+    coeffs = np.array(draw(parts)) + 1j * np.array(draw(parts))
+    # a run of exact zeros, the shape of an exact character's spectrum
+    lo = draw(st.integers(0, size))
+    coeffs[lo : draw(st.integers(lo, size))] = 0.0
+    return FourierSpectrum(grid, coeffs.reshape(grid))
+
+
+@given(tie_heavy_spectra(), st.data())
+@settings(deadline=None, max_examples=300)
+def test_top_peaks_matches_stable_sort_oracle(sp, data):
+    count = data.draw(st.integers(0, sp.coeffs.size + 1))
+    mag = np.abs(sp.coeffs).ravel()
+    want = oracle_top_k(mag, count)
+    got = top_peaks(sp, count)
+    assert [k for k, _ in got] == [
+        tuple(int(i) - n // 2 for i, n in zip(np.unravel_index(f, sp.grid), sp.grid))
+        for f in want
+    ]
+    assert np.array([m for _, m in got], dtype=np.float64).tobytes() == mag[want].tobytes()
+
+
+@pytest.mark.parametrize("grid", [(2,), (17,), (24,), (8, 12), (3, 5, 4)])
+def test_spectrum_is_shifted_fftn_over_size_bitwise(grid):
+    s = random_unit_samples(grid, seed=7)
+    want = np.fft.fftshift(np.fft.fftn(s.values)) / s.size
+    assert spectrum(s).coeffs.tobytes() == want.tobytes()
 
 
 @given(st.integers(2, 16), st.data())

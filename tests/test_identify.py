@@ -164,6 +164,17 @@ def test_config_validation():
         IdentifyConfig(tau_exact=0.95, floor=0.9)
     with pytest.raises(ValueError, match="trials"):
         IdentifyConfig(hom_trials=0)
+    with pytest.raises(ValueError, match="seed"):
+        IdentifyConfig(seed=-1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_sample_is_not_a_character(bad):
+    values = sample_character_torus(3, 64).values.copy()
+    values[10] = bad
+    rep = classify(TorusSamples((64,), values))
+    assert rep.verdict == Verdict.NOT
+    assert rep.frequency is None
 
 
 def test_classify_dispatches_by_type():
