@@ -28,7 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .circle import root_of_unity_powers
-from .samples import IntVector, _as_vector
+from .samples import IntVector, _as_vector, _probe_pairs
 
 #: Largest group size enumerate_characters accepts.  The |G| tables hold
 #: |G|^2 complex entries, 256 MiB at the cap.
@@ -176,22 +176,19 @@ def _worst_defect_all_pairs(values: np.ndarray) -> float:
             # |o|^2: the float64 view squared in place, real plus imaginary half
             f = o.view(np.float64)
             np.multiply(f, f, out=f)
-            worst = max(worst, float((f[..., 0::2] + f[..., 1::2]).max()))
+            block_worst = float((f[..., 0::2] + f[..., 1::2]).max())
+            # max() would keep worst over a NaN; a NaN anywhere is the answer
+            if math.isnan(block_worst):
+                return math.nan
+            worst = max(worst, block_worst)
     return math.sqrt(worst)
 
 
 def _worst_defect_sampled(values: np.ndarray, pairs: int, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    orders = np.asarray(values.shape)
-    ndim = values.ndim
-    a = rng.integers(0, orders, size=(pairs, ndim))
-    b = rng.integers(0, orders, size=(pairs, ndim))
-    zero = np.zeros((1, ndim), dtype=a.dtype)
-    a = np.concatenate([zero, a])
-    b = np.concatenate([zero, b])
-    ab = (a + b) % orders
-    defect = values[tuple(ab.T)] - values[tuple(a.T)] * values[tuple(b.T)]
-    return float(np.abs(defect).max())
+    # the torus check's draw, not its memo: 2^20 pairs are 24 MB of indices
+    a, b, ab = _probe_pairs(values.shape, pairs, seed)
+    v = values.ravel()
+    return float(np.abs(v[ab] - v[a] * v[b]).max())
 
 
 def is_homomorphism_exhaustive(
@@ -221,11 +218,13 @@ def identify_finite(
     A character has coefficient exactly 1 at its own k and 0 elsewhere, by
     discrete orthogonality.  For non-characters the argmax bin is returned
     only when its magnitude reaches ``floor``; ties take the lexicographically
-    smallest k.
+    smallest k.  A peak that is not finite (a NaN or inf entry) gives None.
     """
     mags = np.abs(np.fft.fftn(t.values)) / t.group.size
     flat = int(np.argmax(mags))
-    if float(mags.flat[flat]) < floor:
+    peak = float(mags.flat[flat])
+    # NaN never compares below the floor, so test for acceptance instead
+    if not (math.isfinite(peak) and peak >= floor):
         return None
     return tuple(int(i) for i in np.unravel_index(flat, t.group.orders))
 

@@ -27,12 +27,37 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .circle import TWO_PI, principal_angles
 from .fourier import dominant_frequency, spectrum, top_peaks
-from .samples import LineSamples, TorusSamples, pointwise_div, sample_character_line
+from .samples import (
+    LineSamples,
+    TorusSamples,
+    _probe_pairs,
+    pointwise_div,
+    sample_character_line,
+)
+
+#: Most probe pairs one homomorphism check draws, so a config cannot ask for
+#: unbounded index arrays; a memo entry holds at most 3 x (MAX_TRIALS + 1)
+#: int64 indices, 1.6 MB.
+MAX_TRIALS = 1 << 16
+
+# Probe pairs are a pure function of (grid, trials, seed), and a workload
+# reuses a few grids with one config: drawing them once per key saves the
+# generator setup and draws, a third of a small request.  The arrays are
+# read-only and lru_cache is thread-safe, so concurrent callers may share them.
+_cached_probe_pairs = lru_cache(maxsize=32)(_probe_pairs)
+
+
+def _check_trials(trials: int, name: str) -> None:
+    if trials < 1:
+        raise ValueError(f"{name} must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{name} must be <= {MAX_TRIALS}, got {trials}")
 
 
 class Verdict(str, enum.Enum):
@@ -65,8 +90,7 @@ class IdentifyConfig:
                 f"need 0 < tau_exact < floor <= 1, got tau_exact={self.tau_exact} "
                 f"floor={self.floor}"
             )
-        if self.hom_trials < 1:
-            raise ValueError(f"hom_trials must be >= 1, got {self.hom_trials}")
+        _check_trials(self.hom_trials, "hom_trials")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -96,22 +120,14 @@ def homomorphism_residual(s: TorusSamples, trials: int = 256, seed: int = 0) -> 
     """Worst multiplicative defect max |f(a (+) b) - f(a) f(b)| over sampled
     index pairs, with (+) the exact index addition mod the grid.
 
-    Pairs are drawn deterministically from the seed; the pair (0, 0) is
-    always included, making f(0) = 1 necessary for a small residual.
+    Pairs are drawn deterministically from the seed, at most MAX_TRIALS of
+    them; the pair (0, 0) is always included, making f(0) = 1 necessary for
+    a small residual.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    grid = np.asarray(s.grid)
-    a = rng.integers(0, grid, size=(trials, s.dim))
-    b = rng.integers(0, grid, size=(trials, s.dim))
-    zero = np.zeros((1, s.dim), dtype=a.dtype)
-    a = np.concatenate([zero, a])
-    b = np.concatenate([zero, b])
-    ab = (a + b) % grid
-    v = s.values
-    defect = v[tuple(ab.T)] - v[tuple(a.T)] * v[tuple(b.T)]
-    return float(np.abs(defect).max())
+    _check_trials(trials, "trials")
+    a, b, ab = _cached_probe_pairs(s.grid, trials, seed)
+    v = s.values.ravel()
+    return float(np.abs(v[ab] - v[a] * v[b]).max())
 
 
 def identify_torus(s: TorusSamples, cfg: IdentifyConfig = IdentifyConfig()) -> CharacterReport:

@@ -172,6 +172,38 @@ def shift_samples(s: TorusSamples, offset: IntVector) -> TorusSamples:
     return TorusSamples(s.grid, shifted)
 
 
+def _probe_pairs(
+    grid: tuple[int, ...], trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only flat indices (a, b, a (+) b) of the pair (0, 0) followed by
+    ``trials`` seeded pairs drawn uniformly from ``grid``, with (+) the exact
+    index addition mod the grid.
+
+    The pairs depend on (grid, trials, seed) only, so the torus check can
+    keep them between calls; the same seed gives the same pairs on both the
+    torus and the finite-group paths.
+    """
+    rng = np.random.default_rng(seed)
+    orders = np.asarray(grid)
+    dim = len(grid)
+    a = rng.integers(0, orders, size=(trials, dim))
+    b = rng.integers(0, orders, size=(trials, dim))
+    zero = np.zeros((1, dim), dtype=a.dtype)
+    a = np.concatenate([zero, a])
+    b = np.concatenate([zero, b])
+    ab = (a + b) % orders
+    flat = []
+    for x in (a, b, ab):
+        # row-major flat index by Horner's rule; np.ravel_multi_index would
+        # bounds-check indices drawn inside the grid, 4 ms per 2^20 of them
+        f = x[:, 0]
+        for ax in range(1, dim):
+            f = f * grid[ax] + x[:, ax]
+        f.flags.writeable = False
+        flat.append(f)
+    return tuple(flat)
+
+
 def pointwise_div(f: TorusSamples, g: TorusSamples) -> TorusSamples:
     """Elementwise renormalized quotient f/g over matching grids."""
     if f.grid != g.grid:

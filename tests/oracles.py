@@ -70,3 +70,20 @@ def oracle_top_k(mag: np.ndarray, count: int) -> np.ndarray:
     """Flat indices of the ``count`` largest magnitudes by one full stable
     sort: value descending, ties by ascending index, NaN last."""
     return np.argsort(-np.ravel(mag), kind="stable")[: max(0, count)]
+
+
+def oracle_hom_residual(values: np.ndarray, trials: int, seed: int) -> float:
+    """The seeded sampled-pairs defect max |f(a+b) - f(a) f(b)|, drawn afresh
+    on every call and gathered with one index array per axis; the same draws,
+    in the same order, as the library's memoized flat-index route."""
+    rng = np.random.default_rng(seed)
+    grid = np.asarray(values.shape)
+    dim = values.ndim
+    a = rng.integers(0, grid, size=(trials, dim))
+    b = rng.integers(0, grid, size=(trials, dim))
+    zero = np.zeros((1, dim), dtype=a.dtype)
+    a = np.concatenate([zero, a])
+    b = np.concatenate([zero, b])
+    ab = (a + b) % grid
+    defect = values[tuple(ab.T)] - values[tuple(a.T)] * values[tuple(b.T)]
+    return float(np.abs(defect).max())

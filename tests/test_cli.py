@@ -279,6 +279,22 @@ def test_bad_seed_or_noise_is_a_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("trials", ["65537", "1000000000000"])
+@pytest.mark.parametrize("mode", ["torus", "line", "finite"])
+def test_trials_above_cap_is_a_usage_error(tmp_path, capsys, mode, trials):
+    fixture = str(tmp_path / f"{mode}.json")
+    main(["generate", "--mode", mode, "--freq", "1.5" if mode == "line" else "1",
+          "--grid", "8", "--output", fixture])
+    capsys.readouterr()
+    code, out, err = run_main(
+        capsys, ["analyze", "--input", fixture, "--mode", mode, "--trials", trials]
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("charid: error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_endpoint_flag_misuse(tmp_path, capsys):
     fixture = str(tmp_path / "f.json")
     main(["generate", "--mode", "torus", "--freq", "1", "--grid", "8",

@@ -1,5 +1,6 @@
 """Finite abelian groups: enumeration, exhaustive verification, dual identification."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from charid import finite
 from charid.finite import (
     ALL_PAIRS_CAP,
     ENUMERATION_CAP,
+    SAMPLED_PAIRS,
     CharacterTable,
     FiniteGroupSpec,
     character_table,
@@ -23,7 +25,7 @@ from charid.finite import (
 )
 from charid.samples import sample_character_torus
 
-from oracles import exhaustive_hom_defect
+from oracles import exhaustive_hom_defect, oracle_hom_residual
 
 
 def test_group_spec_validation():
@@ -222,6 +224,38 @@ def test_sampled_pairs_branch():
     ok_bad, worst_bad = is_homomorphism_exhaustive(const, all_pairs_cap=4)
     assert not ok_bad
     assert worst_bad == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("orders", [(ALL_PAIRS_CAP + 1,), (256, 257)])
+def test_sampled_check_matches_per_axis_gather_bitwise(orders):
+    # above the cap the check draws the torus path's pairs; the flat gather
+    # must give the per-axis gather of a fresh draw bit for bit
+    rng = np.random.default_rng(len(orders))
+    base = character_table(FiniteGroupSpec(orders), (3,) * len(orders)).values
+    t = CharacterTable(
+        FiniteGroupSpec(orders), base * np.exp(1j * rng.uniform(-1e-3, 1e-3, orders))
+    )
+    for seed in (0, 9):
+        ok, worst = is_homomorphism_exhaustive(t, seed=seed)
+        assert not ok
+        assert worst == oracle_hom_residual(t.values, SAMPLED_PAIRS, seed)
+
+
+@pytest.mark.parametrize(
+    "orders,k,at",
+    [((64,), (3,), 17), ((128, 128), (3, 5), -1), ((ALL_PAIRS_CAP + 1,), (3,), 10)],
+)
+def test_nan_entry_fails_both_checks(orders, k, at):
+    # Z_64 is one all-pairs block, 128 x 128 spreads over many with the NaN
+    # in the last, and Z_65537 takes the sampled path
+    vals = character_table(FiniteGroupSpec(orders), k).values.copy()
+    vals.flat[at] = complex(math.nan, 0.0)
+    t = CharacterTable(FiniteGroupSpec(orders), vals)
+    with np.errstate(invalid="ignore"):
+        ok, worst = is_homomorphism_exhaustive(t)
+        assert identify_finite(t) is None
+    assert not ok
+    assert math.isnan(worst)
 
 
 @pytest.mark.parametrize("n,k", [(512, 100), (1000, 333), (1024, 1023)])

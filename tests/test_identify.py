@@ -1,10 +1,18 @@
 """End-to-end classification: verdict logic, line reduction, determinism."""
 
+import math
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from charid import identify
 from charid.fourier import coefficient
 from charid.identify import (
+    MAX_TRIALS,
     IdentifyConfig,
     Verdict,
     classify,
@@ -19,7 +27,7 @@ from charid.samples import (
     sample_character_torus,
 )
 
-from oracles import exhaustive_hom_defect, slope_fit_alpha
+from oracles import exhaustive_hom_defect, oracle_hom_residual, slope_fit_alpha
 
 
 def random_phase_samples(grid, seed):
@@ -51,6 +59,85 @@ def test_hom_residual_forces_identity_pair():
     # the forced pair makes |f(0) - f(0)^2| = 2 part of every probe
     s = TorusSamples((8,), -np.ones(8, dtype=complex))
     assert homomorphism_residual(s, trials=1) == pytest.approx(2.0)
+
+
+@given(
+    grid=st.lists(st.integers(1, 12), min_size=1, max_size=3).map(tuple),
+    trials=st.integers(1, 600),
+    seed=st.integers(0, 1 << 32),
+    kind=st.sampled_from(["unit", "random", "nan", "inf"]),
+    data=st.data(),
+)
+@settings(deadline=None, max_examples=300)
+def test_hom_residual_matches_fresh_draw_oracle(grid, trials, seed, kind, data):
+    # the memoized flat gather reads the elements the per-axis gather of a
+    # fresh draw reads, with the same arithmetic: equal bit for bit
+    rng = np.random.default_rng(seed)
+    if kind == "unit":
+        k = [int(rng.integers(0, n)) for n in grid]
+        phase = sum(
+            kj * np.arange(n).reshape((-1,) + (1,) * (len(grid) - ax - 1)) / n
+            for ax, (kj, n) in enumerate(zip(k, grid))
+        )
+        values = np.exp(2j * np.pi * phase) * np.ones(grid)
+    else:
+        values = np.exp(1j * rng.uniform(0, 2 * np.pi, size=grid))
+    if kind in ("nan", "inf"):
+        bad = complex(math.nan, 0.0) if kind == "nan" else complex(0.0, math.inf)
+        values.flat[data.draw(st.integers(0, values.size - 1))] = bad
+    # finite groups allow order-1 axes, which TorusSamples does not; the
+    # residual only reads grid and values
+    s = (
+        TorusSamples(grid, values)
+        if min(grid) >= 2
+        else SimpleNamespace(grid=grid, values=values)
+    )
+    with np.errstate(invalid="ignore"):
+        got = homomorphism_residual(s, trials, seed)
+        want = oracle_hom_residual(values, trials, seed)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_probe_pair_memo_is_read_only_and_reused():
+    s = random_phase_samples((9, 7), seed=4)
+    memo = identify._cached_probe_pairs
+    homomorphism_residual(s, trials=37, seed=11)
+    hits = memo.cache_info().hits
+    assert homomorphism_residual(s, trials=37, seed=11) == oracle_hom_residual(
+        s.values, 37, 11
+    )
+    assert memo.cache_info().hits == hits + 1
+    for idx in memo((9, 7), 37, 11):
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 1
+
+
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**12])
+def test_trials_above_cap_are_refused_before_drawing(trials):
+    s = random_phase_samples((8,), seed=0)
+    memo = identify._cached_probe_pairs
+    before = memo.cache_info()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="trials"):
+            homomorphism_residual(s, trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            IdentifyConfig(hom_trials=trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    after = memo.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
+def test_trials_at_cap_are_accepted():
+    assert IdentifyConfig(hom_trials=MAX_TRIALS).hom_trials == MAX_TRIALS
+    s = random_phase_samples((8,), seed=0)
+    assert homomorphism_residual(s, trials=MAX_TRIALS) == oracle_hom_residual(
+        s.values, MAX_TRIALS, 0
+    )
 
 
 def test_identify_torus_exact_characters():
