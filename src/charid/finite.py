@@ -42,8 +42,11 @@ ALL_PAIRS_CAP = 1 << 16
 SAMPLED_PAIRS = 1 << 20
 
 #: Most pairs the all-pairs check holds in memory at once (16 bytes each).
-#: Blocks of 1 MiB stay cache resident: on a 2 MiB-L2 Xeon, Z_16384 checks
-#: in half the time it takes with 2^20-pair blocks.
+#: It sizes both the boxes of a' values whose rolled copies of the table are
+#: made together and the blocks of rows a0 taken from one copy that alone
+#: is more (see _worst_defect_all_pairs).  Blocks of 1 MiB stay cache
+#: resident: on a 2 MiB-L2 Xeon, Z_16384 checks in half the time it takes
+#: with 2^20-pair blocks.
 BLOCK_PAIRS = 1 << 16
 
 #: A table passes the multiplicative check when its worst defect is below this.
@@ -131,48 +134,75 @@ def enumerate_characters(
     return [CharacterTable(g, tables[k]) for k in np.ndindex(*g.orders)]
 
 
+def _boxes(shape: tuple[int, ...], budget: int):
+    """Index boxes covering ``shape`` in row-major order, each of at most
+    ``budget`` >= 1 indices: leading axes are walked one index at a time
+    until whole slices of the remaining axes fit, and the next axis is cut
+    in steps."""
+    lead = 0
+    while math.prod(shape[lead:]) > budget:
+        lead += 1
+    if lead == 0:
+        return [()]
+    step = budget // math.prod(shape[lead:])
+    return [
+        outer + (slice(r0, r0 + step),)
+        for outer in itertools.product(*map(range, shape[: lead - 1]))
+        for r0 in range(0, shape[lead - 1], step)
+    ]
+
+
 def _worst_defect_all_pairs(values: np.ndarray) -> float:
     """max |t(a+b) - t(a) t(b)| over every pair of group elements.
 
-    Each pair is written (a, a + j).  The defect is symmetric in (a, b), and
-    the pair (a, a + j) swapped is (a + j, (a + j) - j), so it is enough to
-    let the last component of j run over [0, N//2] and the others over all
-    of [0, N_i): every unordered pair still appears at least once, in about
-    half of the |G|^2 ordered pairs, after the longest axis is moved last.
-    t(a + j) and t(2a + j) are zero-copy strided views of the table repeated
-    three times along every axis, both contiguous along the last axis.  The
-    values of a go in blocks of at most BLOCK_PAIRS pairs (or the pairs of
-    a single a, about |G|/2, where that is more), which bounds memory for
-    large tables; a table of up to about 360 elements is a single block.
+    The longest axis is moved first and a = (a0, a') splits off its
+    component.  The defect is symmetric in (a, b), so it is enough to take
+    the b with (b0 - a0) mod N0 in [0, N0//2] and b' free: every unordered
+    pair still appears at least once, in about half of the |G|^2 ordered
+    pairs.  Let R(a') be the table rolled by a' on its trailing axes and
+    tripled along axis 0.  For one a, the t(a + b) are (N0//2 + 1) |G|/N0
+    consecutive entries of R(a') from row 2 a0 on, the t(b) as many entries
+    of R(0) from row a0 on, and t(a) is entry (a0, 0') of R(a').  So both
+    operands are contiguous runs of about |G|/2 on every group shape.
+
+    The copies R(a') are made for one box of a' values at a time, at most
+    BLOCK_PAIRS pairs' worth (or a single a'); where one copy is more, its
+    rows a0 go in blocks of BLOCK_PAIRS pairs (or one row, about |G|/2
+    pairs).  This bounds memory on large tables, and a table of up to about
+    360 elements is a single block.  R(0) is the first copy of the first
+    box.  On a cyclic group a' is empty and R() is the table tripled, with
+    no copy made.
     """
     longest = values.shape.index(max(values.shape))
-    if values.shape[-1] < values.shape[longest]:
-        values = np.ascontiguousarray(values.swapaxes(longest, -1))
-    orders = values.shape
-    tripled = values
-    for ax in range(values.ndim):
-        tripled = np.concatenate([tripled] * 3, axis=ax)
-    window = orders[:-1] + (orders[-1] // 2 + 1,)
-    st = tripled.strides
-    shape = orders + window
-    shifted = np.ndarray(shape, tripled.dtype, tripled, strides=st + st)
-    summed = np.ndarray(
-        shape, tripled.dtype, tripled, strides=tuple(2 * s for s in st) + st
-    )
-    # a is walked one index at a time along leading axes until a block of
-    # rows along the next axis fits in BLOCK_PAIRS
-    lead, per_row = 0, values.size * math.prod(window) // orders[0]
-    while per_row > BLOCK_PAIRS and lead < values.ndim - 1:
-        lead += 1
-        per_row //= orders[lead]
-    block = max(1, BLOCK_PAIRS // per_row)
-    a_shape = (-1,) + orders[lead + 1 :] + (1,) * values.ndim
+    if longest:
+        values = np.ascontiguousarray(values.swapaxes(0, longest))
+    n0, rest, size = values.shape[0], values.shape[1:], values.size
+    m = size // n0
+    run = (n0 // 2 + 1) * m
+    ext = np.concatenate([values] * 3)
+    for ax in range(1, values.ndim):
+        ext = np.concatenate([ext] * 2, axis=ax)
+    # rolled[a'] = R(a'): rolled[a'][x0, x'] = ext[x0, x' + a'], x0 < 3 N0
+    st, dt, item = ext.strides, ext.dtype, ext.itemsize
+    rolled = np.ndarray(rest + (3 * n0,) + rest, dt, ext, 0, st[1:] + st)
+    plane, row = 3 * size * item, m * item
     worst = 0.0
-    for outer in itertools.product(*map(range, orders[:lead])):
-        for r0 in range(0, orders[lead], block):
-            rows = outer + (slice(r0, r0 + block),)
-            o = values[rows].reshape(a_shape) * shifted[rows]
-            np.subtract(summed[rows], o, out=o)
+    base = None
+    for box in _boxes(rest, max(1, BLOCK_PAIRS // (n0 * run))):
+        copies = np.ascontiguousarray(rolled[box])
+        if base is None:
+            base = copies  # the first box starts with R(0)
+        count = copies.size // (3 * size)
+        step = max(1, BLOCK_PAIRS // (count * run))
+        for r0 in range(0, n0, step):
+            rows, at = min(step, n0 - r0), r0 * row
+            t_a = np.ndarray((count, rows, 1), dt, copies, at, (plane, row, item))
+            t_b = np.ndarray((rows, run), dt, base, at, (row, item))
+            o = t_a * t_b
+            t_ab = np.ndarray(
+                (count, rows, run), dt, copies, 2 * at, (plane, 2 * row, item)
+            )
+            np.subtract(t_ab, o, out=o)
             # |o|^2: the float64 view squared in place, real plus imaginary half
             f = o.view(np.float64)
             np.multiply(f, f, out=f)

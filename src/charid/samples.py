@@ -191,7 +191,9 @@ def _probe_pairs(
     zero = np.zeros((1, dim), dtype=a.dtype)
     a = np.concatenate([zero, a])
     b = np.concatenate([zero, b])
-    ab = (a + b) % orders
+    # 0 <= a + b < 2 * orders: one conditional subtract is the exact mod
+    ab = a + b
+    ab -= orders * (ab >= orders)
     flat = []
     for x in (a, b, ab):
         # row-major flat index by Horner's rule; np.ravel_multi_index would

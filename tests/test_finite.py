@@ -109,9 +109,9 @@ def test_exhaustive_check_matches_loop_oracle():
 
 
 def test_blocked_kernel_matches_loop_oracle():
-    # 10 x 13 = 130 elements on two axes, the longer one already last; the
-    # whole half window fits in one block (test_kernel_blocks_cover_every_pair
-    # splits it across many)
+    # 10 x 13 = 130 elements on two axes, the longer one last and moved
+    # first; all its rolled copies fit in one block
+    # (test_kernel_blocks_cover_every_pair splits them across many)
     rng = np.random.default_rng(6)
     t = CharacterTable(
         FiniteGroupSpec((10, 13)),
@@ -121,10 +121,16 @@ def test_blocked_kernel_matches_loop_oracle():
     assert worst == pytest.approx(exhaustive_hom_defect(t.values, (10, 13)), abs=1e-15)
 
 
-@pytest.mark.parametrize("orders", [(131,), (2, 70), (4, 4, 8), (9, 2, 5)])
+@pytest.mark.parametrize(
+    "orders",
+    [(131,), (2, 70), (4, 4, 8), (9, 2, 5)]
+    + [(12, 12), (1, 7), (7, 1), (5, 5, 5), (3, 1, 4)],
+)
 def test_half_window_kernel_matches_loop_oracle(orders):
-    # odd cyclic order, a short first axis, three axes, and a longest axis
-    # that is not last and has to be moved there
+    # an odd cyclic order; longest axes that are moved first from second and
+    # last place or are first already; equal axes, where the half window
+    # N0//2 of an even N0 holds the pairs half way round; and order-1
+    # factors before, after and between the others
     rng = np.random.default_rng(sum(orders))
     t = CharacterTable(
         FiniteGroupSpec(orders), np.exp(1j * rng.uniform(0, 2 * np.pi, size=orders))
@@ -133,12 +139,31 @@ def test_half_window_kernel_matches_loop_oracle(orders):
     assert worst == pytest.approx(exhaustive_hom_defect(t.values, orders), abs=1e-15)
 
 
-@pytest.mark.parametrize("block_pairs", [1, 7, 40])
-@pytest.mark.parametrize("orders", [(13,), (5, 2), (3, 4, 5)])
+@pytest.mark.parametrize("orders", [(4,), (3, 4), (4, 2, 4)])
+def test_half_window_reaches_half_way_round(orders):
+    # a phase 1e-3 * (0, 1, 0.9, 1) along the first longest axis breaks the
+    # law most, by |exp(2e-3 i) - 1|, on the pairs whose components there
+    # are 1 and 3: half way round Z_4, the last place of the half window
+    # (the next worst pairs, 2 and 2, give |exp(1.8e-3 i) - 1|)
+    g = FiniteGroupSpec(orders)
+    axis = orders.index(4)
+    phase = 1e-3 * np.array([0.0, 1.0, 0.9, 1.0])
+    phase = phase.reshape([4 if ax == axis else 1 for ax in range(len(orders))])
+    vals = character_table(g, (1,) * len(orders)).values * np.exp(1j * phase)
+    _, worst = is_homomorphism_exhaustive(CharacterTable(g, vals))
+    assert worst == pytest.approx(exhaustive_hom_defect(vals, orders), abs=1e-15)
+    assert worst == pytest.approx(abs(np.exp(2e-3j) - 1), abs=1e-15)
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7, 40, 400, 1000])
+@pytest.mark.parametrize("orders", [(13,), (5, 2), (3, 4, 5), (6, 6)])
 def test_kernel_blocks_cover_every_pair(monkeypatch, orders, block_pairs):
-    # tiny blocks split the pairs across many blocks and leading-axis
-    # indices; a random table's worst pair can sit in any of them, and a
-    # perturbed entry must be found wherever its pairs land
+    # tiny blocks split the pairs into one rolled copy per block and a few
+    # rows a0 at a time; 400 and 1000 give boxes of two and three copies,
+    # cut along the second and the first trailing axis of 3 x 4 x 5.  A
+    # random table's worst pair can sit in any block.  The perturbed last
+    # entry e has its largest defect, |t(2e) - t(e)^2|, only at a = e, which
+    # lies in the last block
     monkeypatch.setattr(finite, "BLOCK_PAIRS", block_pairs)
     rng = np.random.default_rng(block_pairs)
     g = FiniteGroupSpec(orders)
@@ -243,11 +268,17 @@ def test_sampled_check_matches_per_axis_gather_bitwise(orders):
 
 @pytest.mark.parametrize(
     "orders,k,at",
-    [((64,), (3,), 17), ((128, 128), (3, 5), -1), ((ALL_PAIRS_CAP + 1,), (3,), 10)],
+    [
+        ((64,), (3,), 17),
+        ((128, 128), (3, 5), -1),
+        ((ALL_PAIRS_CAP + 1,), (3,), 10),
+        ((16, 8, 8), (3, 5, 7), -1),
+    ],
 )
 def test_nan_entry_fails_both_checks(orders, k, at):
-    # Z_64 is one all-pairs block, 128 x 128 spreads over many with the NaN
-    # in the last, and Z_65537 takes the sampled path
+    # Z_64 is one all-pairs block; 128 x 128 makes one rolled copy a block,
+    # in blocks of rows, and 16 x 8 x 8 seven copies a block, each with the
+    # NaN at a' in the last block; Z_65537 takes the sampled path
     vals = character_table(FiniteGroupSpec(orders), k).values.copy()
     vals.flat[at] = complex(math.nan, 0.0)
     t = CharacterTable(FiniteGroupSpec(orders), vals)
@@ -256,6 +287,21 @@ def test_nan_entry_fails_both_checks(orders, k, at):
         assert identify_finite(t) is None
     assert not ok
     assert math.isnan(worst)
+
+
+@pytest.mark.parametrize("orders", [(16384,), (128, 128), (2, 8192), (32, 32, 16)])
+def test_all_pairs_memory_is_bounded(orders):
+    # the rolled copies are made one block at a time; all of them at once
+    # would be |G|/N0 copies of 3 |G| entries, 393 MiB on 32 x 32 x 16
+    t = character_table(FiniteGroupSpec(orders), tuple(min(3, n - 1) for n in orders))
+    tracemalloc.start()
+    try:
+        ok, _ = is_homomorphism_exhaustive(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 16 << 20
 
 
 @pytest.mark.parametrize("n,k", [(512, 100), (1000, 333), (1024, 1023)])
