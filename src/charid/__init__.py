@@ -1,15 +1,7 @@
 """Character testing and frequency identification for sampled unit-modulus
 functions on the torus, the line, and finite abelian groups."""
 
-from .circle import (
-    UNIT_TOL,
-    UnitCircleValue,
-    div,
-    from_angle,
-    mul,
-    principal_angle,
-    principal_angles,
-)
+from .circle import UNIT_TOL, principal_angles
 from .fourier import (
     FourierSpectrum,
     coefficient,
@@ -54,11 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "UNIT_TOL",
-    "UnitCircleValue",
-    "div",
-    "from_angle",
-    "mul",
-    "principal_angle",
     "principal_angles",
     "FourierSpectrum",
     "coefficient",

@@ -1,24 +1,20 @@
-"""Arithmetic on the complex unit circle.
+"""Elementwise arithmetic on the complex unit circle.
 
 Every sampled function handled by this package takes values in the
-multiplicative group of unit-modulus complex numbers.  This module provides
-the scalar value type plus the handful of group operations the identification
-pipelines need: construction from an angle, product, quotient, and the
-principal angle in [0, 2*pi).
+multiplicative group of unit-modulus complex numbers, held as complex128
+arrays.  This module provides the few array operations the pipeline needs:
+renormalization, the renormalized quotient a * conj(b) (so modulus drift
+cannot accumulate), the principal angle in [0, 2*pi), the distance from the
+unit circle that input checking measures, and the roots of unity every
+character, transform phase and finite table is built from.
 
-Products and quotients are renormalized (divided by their modulus) so that
-modulus drift cannot accumulate across long pipelines.  Array-valued
-counterparts of the same operations are provided for the sample containers;
-they follow the identical renormalization rule.
-
-All functions are pure and all values immutable, so everything here is safe
-for unrestricted concurrent use.
+All functions are pure, so everything here is safe for unrestricted
+concurrent use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,86 +23,11 @@ TWO_PI = 2.0 * math.pi
 #: Tolerance for accepting externally supplied values as unit-modulus.
 UNIT_TOL = 1e-9
 
-#: Modulus guarantee for internally produced (renormalized) values.
-INTERNAL_UNIT_TOL = 1e-15
-
-
-@dataclass(frozen=True)
-class UnitCircleValue:
-    """A point on the unit circle, stored as (re, im) with re^2 + im^2 = 1."""
-
-    re: float
-    im: float
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
-    def modulus_deviation(self) -> float:
-        """|sqrt(re^2 + im^2) - 1|, the distance from the unit invariant."""
-        return abs(math.hypot(self.re, self.im) - 1.0)
-
-
-def from_angle(theta: float) -> UnitCircleValue:
-    """Return (cos theta, sin theta).
-
-    The result satisfies the unit invariant to floating rounding; angles
-    outside [0, 2*pi) are fine since cos/sin reduce them.  Non-finite input
-    is rejected.
-    """
-    if not math.isfinite(theta):
-        raise ValueError(f"angle must be finite, got {theta!r}")
-    return UnitCircleValue(math.cos(theta), math.sin(theta))
-
-
-def mul(a: UnitCircleValue, b: UnitCircleValue) -> UnitCircleValue:
-    """Group product: the complex product renormalized to unit modulus."""
-    re = a.re * b.re - a.im * b.im
-    im = a.re * b.im + a.im * b.re
-    mod = math.hypot(re, im)
-    return UnitCircleValue(re / mod, im / mod)
-
-
-def div(a: UnitCircleValue, b: UnitCircleValue) -> UnitCircleValue:
-    """Group quotient a/b, i.e. a * conj(b) renormalized.
-
-    Division is total on this type: b is on the unit circle, never zero.
-    """
-    re = a.re * b.re + a.im * b.im
-    im = a.im * b.re - a.re * b.im
-    mod = math.hypot(re, im)
-    return UnitCircleValue(re / mod, im / mod)
-
-
-def principal_angle(v: UnitCircleValue, tol: float = UNIT_TOL) -> float:
-    """The unique theta in [0, 2*pi) with (cos theta, sin theta) = v.
-
-    Rejects inputs whose modulus deviates from 1 by more than ``tol``.
-    """
-    dev = v.modulus_deviation()
-    if dev > tol:
-        raise ValueError(
-            f"value ({v.re}, {v.im}) is off the unit circle by {dev:.3e}"
-        )
-    theta = math.atan2(v.im, v.re) % TWO_PI
-    # fmod can land exactly on 2*pi for tiny negative angles
-    return 0.0 if theta >= TWO_PI else theta
-
-
-# -- array counterparts -------------------------------------------------------
-#
-# The sample containers store complex128 arrays; these helpers apply the same
-# semantics (renormalized products/quotients, [0, 2*pi) branch) elementwise.
-
 
 def renormalize(z: np.ndarray) -> np.ndarray:
     """Divide each element by its modulus, restoring unit modulus exactly
     up to rounding."""
     return z / np.abs(z)
-
-
-def mul_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise renormalized product."""
-    return renormalize(a * b)
 
 
 def div_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,7 +38,7 @@ def div_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def principal_angles(z: np.ndarray) -> np.ndarray:
     """Elementwise principal angle in [0, 2*pi)."""
     theta = np.mod(np.angle(z), TWO_PI)
-    # same 2*pi edge case as the scalar version
+    # the mod lands exactly on 2*pi for tiny negative angles
     theta[theta >= TWO_PI] = 0.0
     return theta
 

@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .finite import (
     is_homomorphism_exhaustive,
 )
 from .fourier import _top_indices
-from .identify import CharacterReport, IdentifyConfig, Verdict, classify
+from .identify import CharacterReport, IdentifyConfig, _verdict, classify
 from .samples import (
     LineSamples,
     TorusSamples,
@@ -59,20 +59,6 @@ class InputError(Exception):
     def __init__(self, code: int, message: str) -> None:
         super().__init__(message)
         self.code = code
-
-
-@dataclass(frozen=True)
-class AnalysisRequest:
-    """One classification job: where the samples live and how to judge them."""
-
-    mode: str
-    input_path: str
-    tau_exact: float = _DEFAULTS.tau_exact
-    floor: float = _DEFAULTS.floor
-    hom_trials: int = _DEFAULTS.hom_trials
-    seed: int = _DEFAULTS.seed
-    fmt: str = "json"
-    endpoint: complex | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +147,37 @@ def _check_unit(values: np.ndarray, what: str) -> None:
         )
 
 
+def _build(
+    mode: str,
+    grid: tuple[int, ...],
+    values: np.ndarray,
+    endpoints: Callable[[], np.ndarray],
+    ep_name: str,
+):
+    """Construct the container ``mode`` names and check its unit invariant.
+
+    ``endpoints()`` gives the line-mode endpoint values; it is called only
+    once the samples are built, so a bad grid is reported before missing or
+    malformed endpoints.  Shape errors come before unit violations, and the
+    samples' violations before those of the endpoints (named ``ep_name``).
+    """
+    try:
+        if mode == "finite":
+            obj = CharacterTable(FiniteGroupSpec(grid), values)
+        else:
+            obj = TorusSamples(grid, values)
+            if mode == "line":
+                obj = LineSamples(obj, endpoints())
+    except ValueError as err:
+        raise InputError(EXIT_MALFORMED, str(err)) from None
+    if mode == "line":
+        _check_unit(obj.base.values, "values")
+        _check_unit(obj.endpoint_values, ep_name)
+    else:
+        _check_unit(obj.values, "values")
+    return obj
+
+
 def _parse_json_input(text: str, mode: str | None):
     try:
         data = json.loads(text)
@@ -187,32 +204,13 @@ def _parse_json_input(text: str, mode: str | None):
         raise InputError(EXIT_MALFORMED, f"dim must equal len(grid) = {len(grid)}")
 
     values = _pairs_to_complex(data.get("values"), math.prod(grid), "values")
-
-    if declared == "finite":
-        try:
-            table = CharacterTable(FiniteGroupSpec(tuple(grid)), values)
-        except ValueError as err:
-            raise InputError(EXIT_MALFORMED, str(err)) from None
-        _check_unit(table.values, "values")
-        return table
-
-    try:
-        base = TorusSamples(tuple(grid), values)
-    except ValueError as err:
-        raise InputError(EXIT_MALFORMED, str(err)) from None
-
-    if declared == "torus":
-        _check_unit(base.values, "values")
-        return base
-
-    endpoints = _pairs_to_complex(data.get("endpoint_values"), dim, "endpoint_values")
-    try:
-        ls = LineSamples(base, endpoints)
-    except ValueError as err:
-        raise InputError(EXIT_MALFORMED, str(err)) from None
-    _check_unit(ls.base.values, "values")
-    _check_unit(ls.endpoint_values, "endpoint_values")
-    return ls
+    return _build(
+        declared,
+        tuple(grid),
+        values,
+        lambda: _pairs_to_complex(data.get("endpoint_values"), dim, "endpoint_values"),
+        "endpoint_values",
+    )
 
 
 def _parse_csv_input(text: str, mode: str | None, endpoint: complex | None):
@@ -234,29 +232,13 @@ def _parse_csv_input(text: str, mode: str | None, endpoint: complex | None):
         raise InputError(EXIT_MALFORMED, "csv indices must cover 0..N-1 exactly once")
     values = np.array([v for _, v in indexed], dtype=np.complex128)
 
+    def endpoints() -> np.ndarray:
+        if endpoint is None:
+            raise InputError(EXIT_MALFORMED, "line mode csv input needs --endpoint re,im")
+        return np.array([endpoint], dtype=np.complex128)
+
     effective = mode if mode is not None else ("line" if endpoint is not None else "torus")
-    if effective == "finite":
-        try:
-            table = CharacterTable(FiniteGroupSpec((len(values),)), values)
-        except ValueError as err:
-            raise InputError(EXIT_MALFORMED, str(err)) from None
-        _check_unit(table.values, "values")
-        return table
-    try:
-        base = TorusSamples((len(values),), values)
-    except ValueError as err:
-        raise InputError(EXIT_MALFORMED, str(err)) from None
-    if effective == "torus":
-        _check_unit(base.values, "values")
-        return base
-    if endpoint is None:
-        raise InputError(
-            EXIT_MALFORMED, "line mode csv input needs --endpoint re,im"
-        )
-    ep = np.array([endpoint], dtype=np.complex128)
-    _check_unit(base.values, "values")
-    _check_unit(ep, "endpoint")
-    return LineSamples(base, ep)
+    return _build(effective, (len(values),), values, endpoints, "endpoint")
 
 
 def parse_input(
@@ -279,16 +261,6 @@ def parse_input(
 # ---------------------------------------------------------------------------
 # reports
 
-def _config_echo(mode: str, cfg: IdentifyConfig) -> dict:
-    return {
-        "mode": mode,
-        "tau_exact": cfg.tau_exact,
-        "floor": cfg.floor,
-        "hom_trials": cfg.hom_trials,
-        "seed": cfg.seed,
-    }
-
-
 def _report_dict(rep: CharacterReport, cfg: IdentifyConfig, mode: str) -> dict:
     out: dict = {"verdict": str(rep.verdict)}
     out["frequency"] = None if rep.frequency is None else list(rep.frequency)
@@ -297,12 +269,16 @@ def _report_dict(rep: CharacterReport, cfg: IdentifyConfig, mode: str) -> dict:
     out["hom_residual"] = rep.hom_residual
     out["spectral_peak"] = rep.spectral_peak
     out["peaks"] = [[list(k), m] for k, m in rep.peaks]
-    out["config"] = _config_echo(mode, cfg)
+    # echo only the knobs the mode used; the finite check ignores hom_trials and seed
+    config = {"mode": mode, "tau_exact": cfg.tau_exact, "floor": cfg.floor}
+    if mode != "finite":
+        config.update(hom_trials=cfg.hom_trials, seed=cfg.seed)
+    out["config"] = config
     return out
 
 
-def _finite_report(table: CharacterTable, cfg: IdentifyConfig) -> dict:
-    """Verdict synthesis for finite tables.
+def _finite_report(table: CharacterTable, cfg: IdentifyConfig) -> CharacterReport:
+    """Classify a finite table by the same verdict rule as the torus.
 
     The multiplicative law is checked exhaustively (or on a large seeded
     sample for very big groups), so hom_residual here is a worst case over
@@ -311,56 +287,46 @@ def _finite_report(table: CharacterTable, cfg: IdentifyConfig) -> dict:
     """
     passed, worst = is_homomorphism_exhaustive(table)
     mags = np.abs(np.fft.fftn(table.values)).ravel() / table.group.size
-    peaks = [
-        [
-            [int(i) for i in np.unravel_index(int(flat), table.group.orders)],
+    peaks = tuple(
+        (
+            tuple(int(i) for i in np.unravel_index(int(flat), table.group.orders)),
             float(mags[flat]),
-        ]
+        )
         for flat in _top_indices(mags, 5)
-    ]
+    )
     peak = peaks[0][1]
     dom = identify_finite(table, cfg.floor)
-    if dom is not None and passed and peak >= 1.0 - cfg.tau_exact:
-        verdict = Verdict.EXACT
-    elif dom is not None:
-        verdict = Verdict.APPROX
-    else:
-        verdict = Verdict.NOT
-    out: dict = {"verdict": str(verdict)}
-    out["frequency"] = None if dom is None else [int(i) for i in dom]
-    out["hom_residual"] = worst
-    out["spectral_peak"] = peak
-    out["peaks"] = peaks
-    out["config"] = _config_echo("finite", cfg)
-    return out
+    return CharacterReport(
+        verdict=_verdict(dom is not None, peak, passed, cfg),
+        frequency=dom,
+        hom_residual=worst,
+        spectral_peak=peak,
+        peaks=peaks,
+    )
 
 
-def run(req: AnalysisRequest) -> int:
-    """Execute one analysis request, print the report, return the exit code.
+def run(args: argparse.Namespace) -> int:
+    """Execute one ``analyze`` request, as :func:`build_parser` parses it;
+    print the report and return the exit code.
 
     Any verdict is success; nonzero codes signal input or usage problems
     only.
     """
-    if req.mode not in MODES:
-        raise InputError(EXIT_USAGE, f"mode must be one of {MODES}, got {req.mode!r}")
-    if req.fmt not in ("json", "text"):
-        raise InputError(EXIT_USAGE, f"format must be json or text, got {req.fmt!r}")
+    endpoint = _parse_endpoint(args.endpoint)
     try:
-        cfg = IdentifyConfig(req.tau_exact, req.floor, req.hom_trials, req.seed)
+        cfg = IdentifyConfig(args.tau_exact, args.floor, args.trials, args.seed)
     except ValueError as err:
         raise InputError(EXIT_USAGE, str(err)) from None
-    if req.endpoint is not None:
-        if req.mode != "line":
+    if endpoint is not None:
+        if args.mode != "line":
             raise InputError(EXIT_USAGE, "--endpoint only applies to line mode")
-        if not req.input_path.endswith(".csv"):
+        if not args.input.endswith(".csv"):
             raise InputError(EXIT_USAGE, "--endpoint only applies to csv input")
 
-    obj = parse_input(req.input_path, mode=req.mode, endpoint=req.endpoint)
-    if isinstance(obj, CharacterTable):
-        report = _finite_report(obj, cfg)
-    else:
-        report = _report_dict(classify(obj, cfg), cfg, req.mode)
-    print(_to_json(report) if req.fmt == "json" else _render_text(report))
+    obj = parse_input(args.input, mode=args.mode, endpoint=endpoint)
+    rep = _finite_report(obj, cfg) if isinstance(obj, CharacterTable) else classify(obj, cfg)
+    report = _report_dict(rep, cfg, args.mode)
+    print(_to_json(report) if args.fmt == "json" else _render_text(report))
     return EXIT_OK
 
 
@@ -525,17 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "analyze":
-            req = AnalysisRequest(
-                mode=args.mode,
-                input_path=args.input,
-                tau_exact=args.tau_exact,
-                floor=args.floor,
-                hom_trials=args.trials,
-                seed=args.seed,
-                fmt=args.fmt,
-                endpoint=_parse_endpoint(args.endpoint),
-            )
-            return run(req)
+            return run(args)
         generate(
             args.mode,
             _num_list(args.freq, float, "--freq"),

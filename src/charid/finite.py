@@ -28,6 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .circle import root_of_unity_powers
+from .fourier import DOMINANCE_FLOOR
 from .samples import IntVector, _as_vector, _probe_pairs
 
 #: Largest group size enumerate_characters accepts.  The |G| tables hold
@@ -241,7 +242,7 @@ def is_homomorphism_exhaustive(
 
 
 def identify_finite(
-    t: CharacterTable, floor: float = 0.9
+    t: CharacterTable, floor: float = DOMINANCE_FLOOR
 ) -> tuple[int, ...] | None:
     """Identify a table by its DFT spike.
 
@@ -262,7 +263,7 @@ def identify_finite(
 def identify_finite_brute(
     t: CharacterTable,
     characters: list[CharacterTable] | None = None,
-    floor: float = 0.9,
+    floor: float = DOMINANCE_FLOOR,
 ) -> tuple[int, ...] | None:
     """Identify a table by inner products against every enumerated character.
 

@@ -35,9 +35,6 @@ import numpy as np
 from .circle import root_of_unity_powers
 from .samples import IntVector, TorusSamples, _as_vector, shift_samples
 
-#: Parseval slack allowed for unit-modulus band-limited input.
-PARSEVAL_TOL = 1e-10
-
 #: Default magnitude a coefficient must reach to count as dominant.  Parseval
 #: then caps any second coefficient at sqrt(1 - 0.81) ~ 0.436, so the spike
 #: is unambiguous.

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circle import TWO_PI, principal_angles
-from .fourier import dominant_frequency, spectrum, top_peaks
+from .fourier import DOMINANCE_FLOOR, dominant_frequency, spectrum, top_peaks
 from .samples import (
     LineSamples,
     TorusSamples,
@@ -74,13 +74,14 @@ class IdentifyConfig:
     """Knobs for classification.
 
     ``tau_exact`` is floating headroom over exact generator output; ``floor``
-    is the spectral dominance threshold (0.9 keeps the peak Parseval-unique);
-    ``hom_trials`` random grid pairs probe the multiplicative law, always
-    augmented by the (0, 0) pair so f(0) = 1 is a hard requirement.
+    is the spectral dominance threshold (the default keeps the peak
+    Parseval-unique); ``hom_trials`` random grid pairs probe the
+    multiplicative law, always augmented by the (0, 0) pair so f(0) = 1 is a
+    hard requirement.
     """
 
     tau_exact: float = 1e-9
-    floor: float = 0.9
+    floor: float = DOMINANCE_FLOOR
     hom_trials: int = 256
     seed: int = 0
 
@@ -130,6 +131,21 @@ def homomorphism_residual(s: TorusSamples, trials: int = 256, seed: int = 0) -> 
     return float(np.abs(v[ab] - v[a] * v[b]).max())
 
 
+def _verdict(spike: bool, peak: float, law_holds: bool, cfg: IdentifyConfig) -> Verdict:
+    """The one verdict rule, for every domain.
+
+    Without a dominant ``spike`` the input is ``NotCharacter``.  With one,
+    it is ``ExactCharacter`` when the top magnitude ``peak`` is within
+    ``tau_exact`` of 1 and the multiplicative law holds, and
+    ``ApproxCharacter`` otherwise.
+    """
+    if not spike:
+        return Verdict.NOT
+    if peak >= 1.0 - cfg.tau_exact and law_holds:
+        return Verdict.EXACT
+    return Verdict.APPROX
+
+
 def identify_torus(s: TorusSamples, cfg: IdentifyConfig = IdentifyConfig()) -> CharacterReport:
     """Classify torus samples and identify the integer frequency.
 
@@ -143,14 +159,8 @@ def identify_torus(s: TorusSamples, cfg: IdentifyConfig = IdentifyConfig()) -> C
     dom = dominant_frequency(sp, cfg.floor)
     hres = homomorphism_residual(s, cfg.hom_trials, cfg.seed)
     peak = peaks[0][1]
-    if dom is not None and peak >= 1.0 - cfg.tau_exact and hres <= cfg.tau_exact:
-        verdict = Verdict.EXACT
-    elif dom is not None:
-        verdict = Verdict.APPROX
-    else:
-        verdict = Verdict.NOT
     return CharacterReport(
-        verdict=verdict,
+        verdict=_verdict(dom is not None, peak, hres <= cfg.tau_exact, cfg),
         frequency=dom[0] if dom is not None else None,
         hom_residual=hres,
         spectral_peak=peak,

@@ -1,6 +1,5 @@
 """Unit-circle arithmetic: group laws, branch conventions, renormalization."""
 
-import cmath
 import math
 
 import numpy as np
@@ -10,12 +9,7 @@ from hypothesis import strategies as st
 
 from charid.circle import (
     TWO_PI,
-    UnitCircleValue,
-    div,
-    from_angle,
-    mul,
-    mul_arrays,
-    principal_angle,
+    div_arrays,
     principal_angles,
     renormalize,
     root_of_unity_powers,
@@ -23,88 +17,73 @@ from charid.circle import (
 )
 
 angles = st.floats(min_value=-50.0, max_value=50.0)
+angle_lists = st.lists(angles, min_size=1, max_size=8)
+angle_pairs = st.lists(st.tuples(angles, angles), min_size=1, max_size=8).map(
+    lambda pairs: np.array(pairs).T
+)
 
 
-def circle_dist(a: complex, b: complex) -> float:
-    return abs(a - b)
+def unit(thetas) -> np.ndarray:
+    return np.exp(1j * np.array(thetas, dtype=np.float64))
 
 
 def test_mul_matches_angle_addition_frozen():
-    # angles 3.2 + 3.9 = 7.1, reduced: 7.1 - 2*pi = 0.81681469282041352307
-    v = mul(from_angle(3.2), from_angle(3.9))
-    assert v.re == pytest.approx(0.68454666644280634062, abs=1e-15)
-    assert v.im == pytest.approx(0.72896904012587615208, abs=1e-15)
-    assert principal_angle(v) == pytest.approx(0.81681469282041352307, abs=1e-13)
+    # angles 3.2 + 3.9 = 7.1, reduced: 7.1 - 2*pi = 0.81681469282041352307;
+    # the renormalized product a * b is the quotient a / conj(b)
+    v = div_arrays(unit([3.2]), unit([-3.9]))
+    assert v[0].real == pytest.approx(0.68454666644280634062, abs=1e-15)
+    assert v[0].imag == pytest.approx(0.72896904012587615208, abs=1e-15)
+    got = principal_angles(np.concatenate([v, unit([7.1])]))
+    assert got[0] == pytest.approx(0.81681469282041352307, abs=1e-13)
+    assert got[1] == pytest.approx(0.81681469282041352307, abs=1e-13)
 
 
 def test_from_angle_frozen_points():
-    v = from_angle(-math.pi / 8)
-    assert v.re == pytest.approx(0.92387953251128675613, abs=1e-15)
-    assert v.im == pytest.approx(-0.38268343236508977173, abs=1e-15)
-    # negative angle lands on the [0, 2*pi) branch
-    assert principal_angle(from_angle(-math.pi / 2)) == pytest.approx(
-        4.7123889803846898577, abs=1e-15
-    )
-
-
-def test_from_angle_rejects_non_finite():
-    for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            from_angle(bad)
-
-
-def test_principal_angle_rejects_off_circle():
-    with pytest.raises(ValueError, match="unit circle"):
-        principal_angle(UnitCircleValue(0.5, 0.5))
+    v = unit([-math.pi / 8])
+    assert v[0].real == pytest.approx(0.92387953251128675613, abs=1e-15)
+    assert v[0].imag == pytest.approx(-0.38268343236508977173, abs=1e-15)
+    # negative angles land on the [0, 2*pi) branch
+    got = principal_angles(unit([-math.pi / 2, -math.pi / 8]))
+    assert got[0] == pytest.approx(4.7123889803846898577, abs=1e-15)
+    assert got[1] == pytest.approx(TWO_PI - math.pi / 8, abs=1e-15)
 
 
 def test_principal_angle_tiny_negative_wraps_to_zero():
-    # atan2 of a hair below the positive real axis, mod 2*pi, can round to
+    # the angle of a hair below the positive real axis, mod 2*pi, rounds to
     # 2*pi itself; the branch must still be [0, 2*pi)
-    v = UnitCircleValue(1.0, -1e-18)
-    theta = principal_angle(v)
-    assert 0.0 <= theta < TWO_PI
-    assert theta == 0.0
+    theta = principal_angles(np.array([1 - 1e-18j, 1 + 0j]))
+    assert theta[0] == 0.0 and theta[1] == 0.0
 
 
-@given(angles, angles)
+@given(angle_pairs)
 @settings(deadline=None)
-def test_mul_is_angle_addition(a, b):
-    got = complex(mul(from_angle(a), from_angle(b)))
-    assert circle_dist(got, cmath.exp(1j * (a + b))) < 1e-12
+def test_div_arrays_is_angle_subtraction(ab):
+    a, b = ab
+    assert np.abs(div_arrays(unit(a), unit(b)) - unit(a - b)).max() < 1e-12
 
 
-@given(angles, angles)
+@given(angle_pairs)
 @settings(deadline=None)
-def test_div_inverts_mul(a, b):
-    got = div(mul(from_angle(a), from_angle(b)), from_angle(b))
-    assert circle_dist(complex(got), complex(from_angle(a))) < 1e-12
+def test_div_inverts_mul(ab):
+    za, zb = unit(ab[0]), unit(ab[1])
+    assert np.abs(div_arrays(za * zb, zb) - za).max() < 1e-12
 
 
-@given(angles, angles)
+@given(angle_pairs)
 @settings(deadline=None)
-def test_products_stay_on_circle(a, b):
-    assert mul(from_angle(a), from_angle(b)).modulus_deviation() < 1e-15
-    assert div(from_angle(a), from_angle(b)).modulus_deviation() < 1e-15
+def test_products_stay_on_circle(ab):
+    za, zb = unit(ab[0]), unit(ab[1])
+    assert unit_deviation(div_arrays(za, zb)).max() < 1e-15
+    # renormalization also repairs modulus drift in the operands
+    assert unit_deviation(div_arrays(1.5 * za, 0.25 * zb)).max() < 1e-15
 
 
-@given(angles)
+@given(angle_lists)
 @settings(deadline=None)
-def test_angle_round_trip(theta):
-    back = principal_angle(from_angle(theta))
-    assert 0.0 <= back < TWO_PI
-    assert circle_dist(cmath.exp(1j * back), cmath.exp(1j * theta)) < 1e-12
-
-
-@given(st.lists(angles, min_size=1, max_size=8))
-@settings(deadline=None)
-def test_array_helpers_match_scalar(thetas):
-    z = np.exp(1j * np.array(thetas))
-    scalar = [principal_angle(from_angle(t)) for t in thetas]
-    assert np.allclose(principal_angles(z), scalar, atol=1e-12)
-    prod = mul_arrays(z, z)
-    want = [complex(mul(from_angle(t), from_angle(t))) for t in thetas]
-    assert np.allclose(prod, want, atol=1e-12)
+def test_angle_round_trip(thetas):
+    back = principal_angles(unit(thetas))
+    assert ((back >= 0.0) & (back < TWO_PI)).all()
+    assert np.abs(unit(back) - unit(thetas)).max() < 1e-12
 
 
 def test_renormalize_restores_unit_modulus():

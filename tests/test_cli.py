@@ -195,6 +195,21 @@ def test_generate_noise_gives_approx(tmp_path, capsys):
     assert rep["frequency"] == [4]
 
 
+def test_finite_exact_needs_every_pair_to_pass(tmp_path, capsys):
+    fixture = str(tmp_path / "noisy.json")
+    assert main(["generate", "--mode", "finite", "--freq", "3", "--grid", "64",
+                 "--noise", "0.05", "--seed", "1", "--output", fixture]) == 0
+    capsys.readouterr()
+    code, out, _ = run_main(capsys, ["analyze", "--input", fixture, "--mode", "finite",
+                                     "--tau-exact", "0.5"])
+    assert code == 0
+    rep = json.loads(out)
+    # the peak is within tau_exact of 1, but the exhaustive check fails
+    assert rep["spectral_peak"] >= 0.5 and rep["hom_residual"] > 1e-12
+    assert rep["verdict"] == "ApproxCharacter"
+    assert rep["frequency"] == [3]
+
+
 def test_reports_are_byte_identical(tmp_path, capsys):
     fixture = str(tmp_path / "f.json")
     main(["generate", "--mode", "torus", "--freq", "-7", "--grid", "32",
@@ -293,6 +308,58 @@ def test_trials_above_cap_is_a_usage_error(tmp_path, capsys, mode, trials):
     assert out == ""
     assert err.startswith("charid: error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "mode, keys",
+    [
+        ("torus", ["mode", "tau_exact", "floor", "hom_trials", "seed"]),
+        ("line", ["mode", "tau_exact", "floor", "hom_trials", "seed"]),
+        # the finite check is exhaustive or draws its own fixed sample
+        ("finite", ["mode", "tau_exact", "floor"]),
+    ],
+)
+def test_config_echo_lists_the_knobs_each_mode_uses(tmp_path, capsys, mode, keys):
+    fixture = str(tmp_path / f"{mode}.json")
+    main(["generate", "--mode", mode, "--freq", "1.5" if mode == "line" else "1",
+          "--grid", "8", "--output", fixture])
+    capsys.readouterr()
+    code, out, _ = run_main(capsys, ["analyze", "--input", fixture, "--mode", mode,
+                                     "--seed", "3", "--trials", "5", "--floor", "0.8"])
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert list(config) == keys
+    assert config["mode"] == mode and config["floor"] == 0.8
+    if "seed" in keys:
+        assert config["seed"] == 3 and config["hom_trials"] == 5
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, code, message",
+    [
+        # the grid is checked before the missing endpoints are looked for
+        ("l.json", json.dumps({"mode": "line", "dim": 1, "grid": [1], "values": [[1, 0]]}),
+         ["--mode", "line"], EXIT_MALFORMED, "grid counts must all be >= 2, got (1,)"),
+        ("one.csv", "index,re,im\n0,1,0\n", ["--mode", "line"], EXIT_MALFORMED,
+         "grid counts must all be >= 2, got (1,)"),
+        # a bad endpoint flag is reported before a bad config
+        ("t.json", torus_doc([[1, 0]] * 4), ["--mode", "torus", "--endpoint", "x",
+                                              "--floor", "2"],
+         EXIT_USAGE, "--endpoint needs re,im"),
+        # the samples' unit violation is reported before the endpoint's
+        ("h.csv", "index,re,im\n0,1,0\n1,0.5,0.5\n2,1,0\n",
+         ["--mode", "line", "--endpoint", "2,0"], EXIT_INVARIANT,
+         "values violate unit modulus at 1 point(s); first at index (1,) "
+         "with deviation 0.293"),
+    ],
+)
+def test_competing_errors_report_the_first(tmp_path, capsys, name, text, argv, code,
+                                           message):
+    path = write(tmp_path / name, text)
+    got, out, err = run_main(capsys, ["analyze", "--input", path, *argv])
+    assert got == code
+    assert out == ""
+    assert err == f"charid: error: {message}\n"
 
 
 def test_endpoint_flag_misuse(tmp_path, capsys):

@@ -167,6 +167,18 @@ def test_phase_jitter_gives_approx_with_right_frequency():
     assert rep.hom_residual > 1e-9
 
 
+def test_exact_needs_the_law_as_well_as_the_peak():
+    # one flipped sample leaves a spike of 62/64 but breaks the law
+    values = sample_character_torus(3, 64).values.copy()
+    values[5] *= -1
+    cfg = IdentifyConfig(tau_exact=0.5)
+    rep = identify_torus(TorusSamples((64,), values), cfg)
+    assert rep.spectral_peak >= 1.0 - cfg.tau_exact
+    assert rep.hom_residual > cfg.tau_exact
+    assert rep.verdict is Verdict.APPROX
+    assert rep.frequency == (3,)
+
+
 def test_random_phases_are_not_characters():
     s = random_phase_samples((64,), seed=7)
     rep = identify_torus(s)
