@@ -38,6 +38,7 @@ from .identify import CharacterReport, IdentifyConfig, _verdict, classify
 from .samples import (
     LineSamples,
     TorusSamples,
+    _as_grid,
     sample_character_line,
     sample_character_torus,
 )
@@ -69,6 +70,23 @@ def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError("non-finite value in serialized output")
     return format(x, ".17g")
+
+
+def _fmt_rows(row: str, sep: str, *columns: np.ndarray) -> str:
+    """The rows of ``columns`` through the %-template ``row``, joined by
+    ``sep``, in one format operation; %.17g writes a float as
+    :func:`_fmt_float` does."""
+    table = np.column_stack(columns)
+    if not np.isfinite(table).all():
+        raise ValueError("non-finite value in serialized output")
+    return sep.join([row] * len(table)) % tuple(table.ravel().tolist())
+
+
+def _json_pairs(values: np.ndarray) -> str:
+    """``values`` as the JSON array of [re, im] pairs :func:`_to_json`
+    writes for the same numbers."""
+    flat = np.asarray(values).ravel()
+    return "[" + _fmt_rows("[%.17g,%.17g]", ",", flat.real, flat.imag) + "]"
 
 
 def _to_json(obj) -> str:
@@ -203,10 +221,19 @@ def _parse_json_input(text: str, mode: str | None):
     if isinstance(dim, bool) or not isinstance(dim, int) or dim != len(grid):
         raise InputError(EXIT_MALFORMED, f"dim must equal len(grid) = {len(grid)}")
 
+    grid = tuple(grid)
+    try:
+        # the container's own grid check, before the grid sizes ``values``
+        if declared == "finite":
+            FiniteGroupSpec(grid)
+        else:
+            _as_grid(grid)
+    except ValueError as err:
+        raise InputError(EXIT_MALFORMED, str(err)) from None
     values = _pairs_to_complex(data.get("values"), math.prod(grid), "values")
     return _build(
         declared,
-        tuple(grid),
+        grid,
         values,
         lambda: _pairs_to_complex(data.get("endpoint_values"), dim, "endpoint_values"),
         "endpoint_values",
@@ -333,11 +360,6 @@ def run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # fixture generation
 
-def _complex_pairs(values: np.ndarray) -> list:
-    flat = np.asarray(values).ravel()
-    return np.column_stack([flat.real, flat.imag]).tolist()
-
-
 def generate(
     mode: str,
     freqs: list[float],
@@ -392,23 +414,17 @@ def generate(
         if endpoints is not None:
             endpoints = endpoints * np.exp(1j * jitter[values.size :])
 
+    flat = values.ravel()
     if csv:
-        flat = values.ravel()
-        rows = ["index,re,im"]
-        rows += [
-            f"{i},{_fmt_float(v.real)},{_fmt_float(v.imag)}" for i, v in enumerate(flat)
-        ]
-        payload = "\n".join(rows) + "\n"
+        rows = _fmt_rows("%d,%.17g,%.17g", "\n", np.arange(flat.size), flat.real, flat.imag)
+        payload = "index,re,im\n" + rows + "\n"
     else:
-        doc: dict = {
-            "mode": mode,
-            "dim": len(grid),
-            "grid": [int(n) for n in grid],
-            "values": _complex_pairs(values),
-        }
+        # _to_json's document, its closing brace cut to append the arrays
+        head = {"mode": mode, "dim": len(grid), "grid": [int(n) for n in grid]}
+        payload = _to_json(head)[:-1] + ',"values":' + _json_pairs(flat)
         if endpoints is not None:
-            doc["endpoint_values"] = _complex_pairs(endpoints)
-        payload = _to_json(doc) + "\n"
+            payload += ',"endpoint_values":' + _json_pairs(endpoints)
+        payload += "}\n"
 
     try:
         with open(output, "w", encoding="utf-8") as fh:

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 
 from .circle import root_of_unity_powers
-from .samples import IntVector, TorusSamples, _as_vector, shift_samples
+from .samples import IntVector, TorusSamples, _adopt, _as_vector, shift_samples
 
 #: Default magnitude a coefficient must reach to count as dominant.  Parseval
 #: then caps any second coefficient at sqrt(1 - 0.81) ~ 0.436, so the spike
@@ -118,17 +119,35 @@ def coefficient(s: TorusSamples, k: IntVector) -> complex:
     return complex((s.values * phases).sum() / s.size)
 
 
+@lru_cache(maxsize=32)
+def _shift_blocks(grid: tuple[int, ...]) -> tuple:
+    """(source, destination) index tuples of the 2^d blocks that move a
+    row-major transform over ``grid`` into ``np.fft.fftshift`` order:
+    shifted index i holds unshifted index (i - N//2) mod N on every axis."""
+    halves = [
+        ((slice(n - n // 2, n), slice(0, n // 2)), (slice(0, n - n // 2), slice(n // 2, n)))
+        for n in grid
+    ]
+    return tuple(tuple(zip(*block)) for block in product(*halves))
+
+
 def spectrum(s: TorusSamples) -> FourierSpectrum:
     """All coefficients over the frequency box via the fast transform.
 
     O(M log M) for M total samples, any composite grid size.  Agrees with
-    :func:`coefficient` entrywise to rounding.
+    :func:`coefficient` entrywise to rounding, and bitwise with
+    ``np.fft.fftshift(np.fft.fftn(s.values)) / M``: the division by M runs
+    in place on the transform, whose 2^d half-axis blocks are then copied
+    once into shifted order, and that fresh array is handed over without a
+    further copy.
     """
-    coeffs = np.fft.fftn(s.values)
-    coeffs /= s.size
-    # rebinding frees the unshifted array before FourierSpectrum copies
-    coeffs = np.fft.fftshift(coeffs)
-    return FourierSpectrum(s.grid, coeffs)
+    # fft on one axis is the same computation as fftn, minus the axis loop
+    raw = np.fft.fft(s.values) if s.dim == 1 else np.fft.fftn(s.values)
+    raw /= s.size
+    coeffs = np.empty_like(raw)
+    for src, dst in _shift_blocks(s.grid):
+        coeffs[dst] = raw[src]
+    return _adopt(FourierSpectrum, s.grid, coeffs=coeffs)
 
 
 def parseval_residual(sp: FourierSpectrum) -> float:
@@ -154,18 +173,18 @@ def dominant_frequency(
     """
     if not 0.0 < floor <= 1.0:
         raise ValueError(f"floor must be in (0, 1], got {floor}")
-    mag = np.abs(sp.coeffs)
-    # first flat occurrence of the max in row-major order is the
-    # lexicographically smallest frequency tuple
-    flat = int(np.argmax(mag))
-    peak = float(mag.flat[flat])
-    # a NaN or inf sample spreads over the whole spectrum; NaN never
-    # compares below the floor, so test for acceptance instead
-    if not (math.isfinite(peak) and peak >= floor):
-        return None
-    idx = np.unravel_index(flat, sp.grid)
-    k = tuple(int(i) - n // 2 for i, n in zip(idx, sp.grid))
-    return k, peak
+    mag = np.abs(sp.coeffs).ravel()
+    ((k, peak),) = _peaks(mag, sp.grid, 1)
+    return (k, peak) if _dominates(mag, peak, floor) else None
+
+
+def _dominates(mag: np.ndarray, peak: float, floor: float) -> bool:
+    """Whether ``peak``, the first largest of the flat magnitudes ``mag`` in
+    :func:`_top_indices` order, is a dominant spike: finite, at least
+    ``floor``, and no NaN anywhere, since the selection puts NaN last where
+    ``np.argmax`` returns it first.  Non-finite samples, or finite ones
+    overflowing in the transform, leave NaN bins."""
+    return math.isfinite(peak) and peak >= floor and not math.isnan(mag.max())
 
 
 def _top_indices(mag: np.ndarray, count: int) -> np.ndarray:
@@ -194,16 +213,28 @@ def _top_indices(mag: np.ndarray, count: int) -> np.ndarray:
     return np.argsort(-mag, kind="stable")[:count]
 
 
+def _peaks(
+    mag: np.ndarray, grid: tuple[int, ...], count: int
+) -> list[tuple[tuple[int, ...], float]]:
+    """(k, magnitude) of the ``count`` largest entries of the flat, shifted
+    magnitudes ``mag`` of a spectrum over ``grid``, in :func:`_top_indices`
+    order; k comes from the flat index by integer divmod, axis by axis."""
+    flats = _top_indices(mag, count)
+    out = []
+    for flat, m in zip(flats.tolist(), mag[flats].tolist()):
+        k = []
+        for n in reversed(grid):
+            flat, i = divmod(flat, n)
+            k.append(i - n // 2)
+        out.append((tuple(reversed(k)), m))
+    return out
+
+
 def top_peaks(sp: FourierSpectrum, count: int = 5) -> list[tuple[tuple[int, ...], float]]:
     """The ``count`` largest |fhat(k)|, sorted by magnitude descending with
-    lexicographic k as the deterministic tie-break."""
-    mag = np.abs(sp.coeffs).ravel()
-    out = []
-    for flat in _top_indices(mag, count):
-        idx = np.unravel_index(int(flat), sp.grid)
-        k = tuple(int(i) - n // 2 for i, n in zip(idx, sp.grid))
-        out.append((k, float(mag[flat])))
-    return out
+    lexicographic k as the deterministic tie-break; the selection that
+    :func:`dominant_frequency` and ``identify_torus`` read as well."""
+    return _peaks(np.abs(sp.coeffs).ravel(), sp.grid, count)
 
 
 def translation_identity_residual(

@@ -31,15 +31,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circle import TWO_PI, principal_angles
-from .fourier import DOMINANCE_FLOOR, dominant_frequency, spectrum, top_peaks
-from .samples import (
-    LineSamples,
-    TorusSamples,
-    _probe_pairs,
-    pointwise_div,
-    sample_character_line,
-)
+from .circle import TWO_PI, div_arrays, principal_angles
+from .fourier import DOMINANCE_FLOOR, _dominates, _peaks, spectrum
+from .samples import LineSamples, TorusSamples, _adopt, _line_values, _probe_pairs
+
+# Not called here: the torus path shares one magnitude pass between peaks and
+# dominance, and the line path one formula with sample_character_line.  The
+# traced benchmark (bench/spans.py) still patches these names here.
+from .fourier import dominant_frequency, top_peaks  # noqa: F401
+from .samples import pointwise_div, sample_character_line  # noqa: F401
 
 #: Most probe pairs one homomorphism check draws, so a config cannot ask for
 #: unbounded index arrays; a memo entry holds at most 3 x (MAX_TRIALS + 1)
@@ -155,13 +155,14 @@ def identify_torus(s: TorusSamples, cfg: IdentifyConfig = IdentifyConfig()) -> C
     ``NotCharacter``.  All outcomes are verdicts, never errors.
     """
     sp = spectrum(s)
-    peaks = tuple((k, m) for k, m in top_peaks(sp, 5))
-    dom = dominant_frequency(sp, cfg.floor)
+    mag = np.abs(sp.coeffs).ravel()
+    peaks = tuple(_peaks(mag, s.grid, 5))
+    k, peak = peaks[0]
+    spike = _dominates(mag, peak, cfg.floor)
     hres = homomorphism_residual(s, cfg.hom_trials, cfg.seed)
-    peak = peaks[0][1]
     return CharacterReport(
-        verdict=_verdict(dom is not None, peak, hres <= cfg.tau_exact, cfg),
-        frequency=dom[0] if dom is not None else None,
+        verdict=_verdict(spike, peak, hres <= cfg.tau_exact, cfg),
+        frequency=k if spike else None,
         hom_residual=hres,
         spectral_peak=peak,
         peaks=peaks,
@@ -174,15 +175,17 @@ def identify_line(ls: LineSamples, cfg: IdentifyConfig = IdentifyConfig()) -> Ch
     beta_j is the principal angle of the endpoint value divided by 2*pi, so
     it always lands in [0, 1).  The quotient h = f/g with g(x) = exp(i beta.x)
     is 2*pi-periodic by construction on the grid and is identified by the
-    torus pipeline; its verdict is inherited.
+    torus pipeline; its verdict is inherited.  g comes from the formula
+    :func:`~charid.samples.sample_character_line` uses, so a non-finite
+    beta (a NaN endpoint) raises the same ValueError, and h is built once.
 
     The true frequency must satisfy |alpha_j - beta_j| < N_j/2 per axis; a
     violation is undetectable from the data (the integer part wraps), so the
     admissible window is reported rather than checked.
     """
     betas = tuple(float(t) / TWO_PI for t in principal_angles(ls.endpoint_values))
-    g = sample_character_line(betas, ls.grid).base
-    h = pointwise_div(ls.base, g)
+    g = _line_values(betas, ls.grid)
+    h = _adopt(TorusSamples, ls.grid, values=div_arrays(ls.base.values, g))
     rep = identify_torus(h, cfg)
     freq = None
     if rep.frequency is not None:

@@ -120,6 +120,18 @@ class Violation:
     deviation: float
 
 
+def _adopt(cls, grid: tuple[int, ...], **array: np.ndarray):
+    """A frozen ``cls`` on ``grid`` that holds one fresh array (keyword: its
+    field name) no caller references yet, made read-only without the copy
+    ``__post_init__`` makes of caller-owned arrays."""
+    ((name, arr),) = array.items()
+    arr.flags.writeable = False
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "grid", grid)
+    object.__setattr__(obj, name, arr)
+    return obj
+
+
 def sample_character_torus(k: IntVector, grid: IntVector) -> TorusSamples:
     """Samples of x -> exp(i k.x) on the grid.
 
@@ -148,7 +160,15 @@ def sample_character_line(alpha: RealVector, grid: IntVector) -> LineSamples:
     g = _as_grid(grid)
     aa = _as_vector(alpha, len(g), "alpha")
     aa = tuple(float(x) for x in aa)
-    for aj, nj in zip(aa, g):
+    values = _line_values(aa, g)
+    endpoints = np.exp(2j * np.pi * np.asarray(aa))
+    return LineSamples(_adopt(TorusSamples, g, values=values), endpoints)
+
+
+def _line_values(alpha: tuple[float, ...], grid: tuple[int, ...]) -> np.ndarray:
+    """A fresh array of exp(i alpha.x) over the grid, after checking that
+    each alpha_j is finite with its integer part inside the Nyquist bound."""
+    for aj, nj in zip(alpha, grid):
         if not math.isfinite(aj):
             raise ValueError(f"alpha must be finite, got {aj!r}")
         if not 2 * abs(math.floor(aj)) < nj:
@@ -156,12 +176,10 @@ def sample_character_line(alpha: RealVector, grid: IntVector) -> LineSamples:
                 f"integer part {math.floor(aj)} of alpha={aj} aliases on an "
                 f"axis of {nj} samples"
             )
-    values = reduce(
+    return reduce(
         np.multiply.outer,
-        (np.exp(1j * aj * (2.0 * np.pi / nj) * np.arange(nj)) for aj, nj in zip(aa, g)),
+        (np.exp(1j * aj * (2.0 * np.pi / nj) * np.arange(nj)) for aj, nj in zip(alpha, grid)),
     )
-    endpoints = np.exp(2j * np.pi * np.asarray(aa))
-    return LineSamples(TorusSamples(g, values), endpoints)
 
 
 def shift_samples(s: TorusSamples, offset: IntVector) -> TorusSamples:
@@ -191,19 +209,20 @@ def _probe_pairs(
     zero = np.zeros((1, dim), dtype=a.dtype)
     a = np.concatenate([zero, a])
     b = np.concatenate([zero, b])
-    # 0 <= a + b < 2 * orders: one conditional subtract is the exact mod
-    ab = a + b
-    ab -= orders * (ab >= orders)
-    flat = []
-    for x in (a, b, ab):
+    # one axis column at a time: broadcasting the orders over whole (pairs,
+    # dim) arrays would run numpy's inner loops only dim elements long
+    for ax, n in enumerate(grid):
+        ca, cb = a[:, ax], b[:, ax]
+        # 0 <= ca + cb < 2 n: one conditional subtract is the exact mod
+        cab = ca + cb
+        cab -= n * (cab >= n)
         # row-major flat index by Horner's rule; np.ravel_multi_index would
         # bounds-check indices drawn inside the grid, 4 ms per 2^20 of them
-        f = x[:, 0]
-        for ax in range(1, dim):
-            f = f * grid[ax] + x[:, ax]
+        cols = (ca, cb, cab)
+        flat = cols if ax == 0 else tuple(f * n + c for f, c in zip(flat, cols))
+    for f in flat:
         f.flags.writeable = False
-        flat.append(f)
-    return tuple(flat)
+    return flat
 
 
 def pointwise_div(f: TorusSamples, g: TorusSamples) -> TorusSamples:

@@ -1,6 +1,7 @@
 """CLI contract: formats, exit codes, round trips, determinism, fuzz."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -13,6 +14,10 @@ from charid.cli import (
     EXIT_MISSING_FILE,
     EXIT_USAGE,
     InputError,
+    _fmt_float,
+    _fmt_rows,
+    _json_pairs,
+    _to_json,
     main,
     parse_input,
 )
@@ -183,6 +188,48 @@ def test_generate_analyze_finite_csv_roundtrip(tmp_path, capsys):
     assert rep["frequency"] == [5]
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("t.json", ["--mode", "torus", "--freq", "3,-2", "--grid", "8,5", "--noise", "0.3"]),
+        ("l.json", ["--mode", "line", "--freq=-2.5,1.25", "--grid", "8,3", "--noise", "0.2"]),
+        ("f.json", ["--mode", "finite", "--freq", "5,0", "--grid", "6,1"]),
+        ("t.csv", ["--mode", "torus", "--freq", "3", "--grid", "16"]),
+        ("f.csv", ["--mode", "finite", "--freq", "5", "--grid", "7", "--noise", "0.01"]),
+    ],
+)
+def test_generate_writes_floats_as_the_report_formatter(tmp_path, name, argv):
+    # 17 digits read back exactly, so re-serializing the parsed numbers one
+    # float at a time must give the same bytes
+    path = tmp_path / name
+    assert main(["generate", *argv, "--output", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    if name.endswith(".csv"):
+        rows = [r.split(",") for r in text.splitlines()[1:]]
+        want = "index,re,im\n" + "".join(
+            f"{i},{_fmt_float(float(re))},{_fmt_float(float(im))}\n" for i, re, im in rows
+        )
+    else:
+        want = _to_json(json.loads(text, parse_int=float)) + "\n"
+    assert text == want
+
+
+def test_batch_float_formatting_matches_one_float_at_a_time():
+    parts = [0.0, -0.0, 1.0, -1.0, 0.1, 1 / 3, 5e-324, -2.2250738585072014e-308,
+             1.7976931348623157e308, 123456789012345678.0, 6.123233995736766e-17]
+    values = np.array(parts) + 1j * np.array(parts[::-1])
+    values[1] = complex(-0.0, -0.0)
+    pairs = [[v.real, v.imag] for v in values.tolist()]
+    assert _json_pairs(values) == _to_json(pairs)
+    rows = _fmt_rows("%d,%.17g,%.17g", "\n", np.arange(values.size), values.real, values.imag)
+    assert rows == "\n".join(
+        f"{i},{_fmt_float(re)},{_fmt_float(im)}" for i, (re, im) in enumerate(pairs)
+    )
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            _json_pairs(np.array([1.0, complex(0.0, bad)]))
+
+
 def test_generate_noise_gives_approx(tmp_path, capsys):
     fixture = str(tmp_path / "noisy.json")
     assert main(["generate", "--mode", "torus", "--freq", "4", "--grid", "64",
@@ -351,6 +398,12 @@ def test_config_echo_lists_the_knobs_each_mode_uses(tmp_path, capsys, mode, keys
          ["--mode", "line", "--endpoint", "2,0"], EXIT_INVARIANT,
          "values violate unit modulus at 1 point(s); first at index (1,) "
          "with deviation 0.293"),
+        # a grid entry below the container's minimum is reported before the
+        # grid is used to size the values
+        ("g.json", json.dumps({"mode": "finite", "dim": 2, "grid": [2, -1], "values": []}),
+         ["--mode", "finite"], EXIT_MALFORMED, "factor orders must be >= 1, got (2, -1)"),
+        ("z.json", json.dumps({"mode": "torus", "dim": 1, "grid": [0], "values": []}),
+         ["--mode", "torus"], EXIT_MALFORMED, "grid counts must all be >= 2, got (0,)"),
     ],
 )
 def test_competing_errors_report_the_first(tmp_path, capsys, name, text, argv, code,

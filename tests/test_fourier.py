@@ -150,11 +150,33 @@ def test_top_peaks_matches_stable_sort_oracle(sp, data):
     assert np.array([m for _, m in got], dtype=np.float64).tobytes() == mag[want].tobytes()
 
 
-@pytest.mark.parametrize("grid", [(2,), (17,), (24,), (8, 12), (3, 5, 4)])
+@given(tie_heavy_spectra(), st.sampled_from([0.25, 0.5, 0.9, 1.0]))
+@settings(deadline=None, max_examples=300)
+def test_dominant_frequency_matches_argmax(sp, floor):
+    # np.argmax returns the first maximum, or the first NaN, which vetoes
+    mag = np.abs(sp.coeffs)
+    flat = int(np.argmax(mag))
+    peak = float(mag.flat[flat])
+    want = None
+    if math.isfinite(peak) and peak >= floor:
+        idx = np.unravel_index(flat, sp.grid)
+        want = (tuple(int(i) - n // 2 for i, n in zip(idx, sp.grid)), peak)
+    assert dominant_frequency(sp, floor) == want
+
+
+@pytest.mark.parametrize(
+    "grid", [(2,), (17,), (24,), (8, 12), (3, 5, 4), (9,), (5, 7), (6, 9), (3, 3, 3), (2, 7, 4)]
+)
 def test_spectrum_is_shifted_fftn_over_size_bitwise(grid):
-    s = random_unit_samples(grid, seed=7)
-    want = np.fft.fftshift(np.fft.fftn(s.values)) / s.size
-    assert spectrum(s).coeffs.tobytes() == want.tobytes()
+    # a constant -1 - 0j gives coefficients with signed zeros, which only the
+    # complex division by M, not a multiplication by 1/M, reproduces
+    for s in (random_unit_samples(grid, seed=7), TorusSamples(grid, -np.ones(grid, complex))):
+        want = np.fft.fftshift(np.fft.fftn(s.values)) / s.size
+        sp = spectrum(s)
+        assert sp.coeffs.tobytes() == want.tobytes()
+        assert sp.coeffs.shape == grid and not sp.coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sp.coeffs[(0,) * len(grid)] = 0
 
 
 @given(st.integers(2, 16), st.data())

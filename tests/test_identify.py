@@ -6,10 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charid import identify
+from charid.circle import TWO_PI, principal_angles
 from charid.fourier import coefficient
 from charid.identify import (
     MAX_TRIALS,
@@ -23,11 +24,17 @@ from charid.identify import (
 from charid.samples import (
     LineSamples,
     TorusSamples,
+    pointwise_div,
     sample_character_line,
     sample_character_torus,
 )
 
-from oracles import exhaustive_hom_defect, oracle_hom_residual, slope_fit_alpha
+from oracles import (
+    exhaustive_hom_defect,
+    oracle_hom_residual,
+    oracle_torus_fields,
+    slope_fit_alpha,
+)
 
 
 def random_phase_samples(grid, seed):
@@ -281,3 +288,99 @@ def test_classify_dispatches_by_type():
     assert classify(sample_character_line(2.5, 16)).frequency[0] == pytest.approx(2.5)
     with pytest.raises(TypeError):
         classify(np.ones(8, dtype=complex))
+
+
+def same_bits(got, want) -> bool:
+    """Equal field values, floats compared by their bits, so NaN matches NaN
+    and 0.0 does not match -0.0."""
+    if isinstance(want, float):
+        return np.float64(got).tobytes() == np.float64(want).tobytes()
+    if isinstance(want, tuple):
+        return (
+            isinstance(got, tuple)
+            and len(got) == len(want)
+            and all(same_bits(g, w) for g, w in zip(got, want))
+        )
+    return type(got) is type(want) and got == want
+
+
+#: Samples that give exact magnitude ties, non-finite spectra, and spectra
+#: of finite samples that overflow into NaN bins beside a finite peak.
+SAMPLE_PARTS = (0.0, 1.0, -1.0, 0.5, math.nan, math.inf, -math.inf, 8e307, 1e308, -1.7e308)
+
+
+@st.composite
+def torus_samples(draw):
+    grid = tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=3)))
+    size = math.prod(grid)
+    kind = draw(st.sampled_from(["phases", "character", "constant", "parts"]))
+    if kind == "phases":
+        angles = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=size, max_size=size))
+        values = np.exp(1j * np.array(angles))
+    elif kind == "character":
+        k = [draw(st.integers(-((n - 1) // 2), (n - 1) // 2)) for n in grid]
+        values = sample_character_torus(k, grid).values.ravel()
+    elif kind == "constant":
+        values = np.full(size, draw(st.sampled_from([1.0, -1.0, 1j, 0.0, 2.0])))
+    else:
+        parts = st.lists(st.sampled_from(SAMPLE_PARTS), min_size=size, max_size=size)
+        values = np.array(draw(parts)) + 1j * np.array(draw(parts))
+    return TorusSamples(grid, values.astype(np.complex128).reshape(grid))
+
+
+# an overflowing spectrum with NaN bins beyond the top five and a finite peak
+# far above the floor, which only the NaN veto turns into NotCharacter
+OVERFLOW_24 = TorusSamples((4, 6), np.array([
+    -1, 1e308, 1.7e308, 0, 1e308, -1, 8e307, -1, 0, 1e308, 1, -1.7e308,
+    -1, 1.7e308, 0, 0, 1, -1, -1e308, -1e308, 1, -1, -1.7e308, -1e308,
+], dtype=np.complex128))
+
+
+@given(torus_samples(), st.integers(1, 40), st.integers(0, 3), st.sampled_from([0.5, 0.9, 1.0]))
+@example(OVERFLOW_24, 256, 0, 0.9)
+@settings(deadline=None, max_examples=400)
+def test_classify_matches_plain_torus_route_bitwise(s, trials, seed, floor):
+    cfg = IdentifyConfig(floor=floor, hom_trials=trials, seed=seed)
+    with np.errstate(all="ignore"):
+        rep = classify(s, cfg)
+        want = oracle_torus_fields(s.values, trials, seed, cfg.tau_exact, floor)
+    got = {
+        "verdict": rep.verdict.value,
+        "frequency": rep.frequency,
+        "hom_residual": rep.hom_residual,
+        "spectral_peak": rep.spectral_peak,
+        "peaks": rep.peaks,
+    }
+    for name in want:
+        assert same_bits(got[name], want[name]), (name, got[name], want[name])
+
+
+def test_nan_bins_beyond_the_top_five_veto_a_finite_spike():
+    with np.errstate(all="ignore"):
+        rep = classify(OVERFLOW_24)
+    assert all(math.isfinite(m) for _, m in rep.peaks)
+    assert rep.spectral_peak > 1e300
+    assert rep.verdict == Verdict.NOT and rep.frequency is None
+
+
+@given(torus_samples(), st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+@settings(deadline=None, max_examples=100)
+def test_identify_line_matches_sample_and_divide_route_bitwise(s, alpha):
+    # h from the public generator and quotient, then the torus pipeline
+    endpoints = np.exp(2j * np.pi * np.array(alpha[: s.dim]))
+    ls = LineSamples(s, endpoints)
+    betas = tuple(float(t) / TWO_PI for t in principal_angles(ls.endpoint_values))
+    with np.errstate(all="ignore"):
+        rep = identify_line(ls)
+        g = sample_character_line(betas, s.grid).base
+        want = identify_torus(pointwise_div(s, g))
+    assert same_bits(rep.beta, betas)
+    for name in ("hom_residual", "spectral_peak", "peaks"):
+        assert same_bits(getattr(rep, name), getattr(want, name)), name
+    assert rep.verdict == want.verdict
+
+
+def test_identify_line_refuses_a_nan_endpoint():
+    ls = LineSamples(sample_character_torus(1, 8), [complex(math.nan, 0.0)])
+    with pytest.raises(ValueError, match=r"alpha must be finite, got nan"):
+        identify_line(ls)

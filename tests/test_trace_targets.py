@@ -54,3 +54,21 @@ def test_traced_finite_analyze_records_finite_spans(tmp_path, capsys):
     names = {span[0] for span in json.loads(out.read_text())}
     assert {"finite.is_homomorphism_exhaustive", "finite.identify_finite",
             "circle.unit_check"} <= names
+
+
+def test_traced_library_classify_records_the_layer_split(monkeypatch):
+    # the traced lib-torus split between fourier and identify reads only
+    # these spans; a refactor that stops calling a patched name empties it
+    for module, attr, *_ in spans.LIBRARY_TARGETS:
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, attr, getattr(mod, attr))  # restored afterwards
+    tracer = spans.Tracer()
+    tracer.patch(spans.LIBRARY_TARGETS)
+    torus = charid.classify(charid.sample_character_torus((3, -2), (16, 8)))
+    line = charid.classify(charid.sample_character_line(2.25, 32))
+    assert (torus.frequency, line.verdict) == ((3, -2), charid.Verdict.EXACT)
+    names = [span[0] for span in tracer.spans]
+    for name in ("fourier.spectrum", "identify.homomorphism_residual",
+                 "identify.identify_torus"):
+        assert names.count(name) == 2, name
+    assert names.count("identify.identify_line") == 1
