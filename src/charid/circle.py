@@ -15,6 +15,7 @@ concurrent use.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -59,3 +60,9 @@ def root_of_unity_powers(k: int, n: int) -> np.ndarray:
     """
     m = np.arange(n)
     return np.exp(2j * np.pi * ((k * m) % n) / n)
+
+
+def character_values(k, grid) -> np.ndarray:
+    """A fresh array of exp(2*pi*i * sum_j k_j m_j / N_j) over ``grid``: the
+    outer product of the rows root_of_unity_powers(k_j, N_j)."""
+    return reduce(np.multiply.outer, (root_of_unity_powers(kj, nj) for kj, nj in zip(k, grid)))

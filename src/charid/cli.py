@@ -135,19 +135,22 @@ def _load_text(path: str) -> str:
 
 
 def _pairs_to_complex(field, count: int, what: str) -> np.ndarray:
-    """Decode a JSON array of [re, im] pairs of the expected length."""
+    """Decode a JSON array of [re, im] pairs of the expected length; numpy
+    must read it as integers or floats, so strings, booleans, nulls and
+    integers that do not fit in 64 bits are refused rather than cast."""
     if not isinstance(field, list):
         raise InputError(EXIT_MALFORMED, f"{what} must be an array of [re, im] pairs")
     if len(field) != count:
         raise InputError(
             EXIT_MALFORMED, f"{what} has {len(field)} entries, expected {count}"
         )
+    not_numbers = InputError(EXIT_MALFORMED, f"{what} must be an array of [re, im] number pairs")
     try:
-        arr = np.array(field, dtype=np.float64)
-    except (ValueError, TypeError):
-        raise InputError(
-            EXIT_MALFORMED, f"{what} must be an array of [re, im] number pairs"
-        ) from None
+        arr = np.array(field)
+    except ValueError:  # ragged nesting
+        raise not_numbers from None
+    if arr.dtype.kind not in "iuf":
+        raise not_numbers
     if arr.shape != (count, 2):
         raise InputError(EXIT_MALFORMED, f"{what} entries must be [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]

@@ -27,9 +27,9 @@ from functools import reduce
 
 import numpy as np
 
-from .circle import root_of_unity_powers
+from .circle import character_values, root_of_unity_powers
 from .fourier import DOMINANCE_FLOOR
-from .samples import IntVector, _as_vector, _probe_pairs
+from .samples import IntVector, _as_vector, _freeze, _probe_pairs, _sampled_defect
 
 #: Largest group size enumerate_characters accepts.  The |G| tables hold
 #: |G|^2 complex entries, 256 MiB at the cap.
@@ -86,43 +86,29 @@ class CharacterTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
-        orders = self.group.orders
-        if vals.shape == (self.group.size,):
-            vals = vals.reshape(orders)
-        elif vals.shape != orders:
-            raise ValueError(
-                f"table shape {vals.shape} does not match group orders {orders}"
-            )
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        _freeze(self, "values", self.group.orders,
+                "table shape {} does not match group orders {}")
 
 
 def character_table(g: FiniteGroupSpec, k: IntVector) -> CharacterTable:
     """The character chi_k with k_j in [0, N_j)."""
     kk = _as_vector(k, len(g.orders), "k")
-    kk = tuple(int(x) for x in kk)
     for kj, nj in zip(kk, g.orders):
         if not 0 <= kj < nj:
             raise ValueError(f"character index {kk} outside box {g.orders}")
-    values = reduce(
-        np.multiply.outer, (root_of_unity_powers(kj, nj) for kj, nj in zip(kk, g.orders))
-    )
-    return CharacterTable(g, values)
+    return CharacterTable(g, character_values(kk, g.orders))
 
 
-def enumerate_characters(
-    g: FiniteGroupSpec, cap: int = ENUMERATION_CAP
-) -> list[CharacterTable]:
+def enumerate_characters(g: FiniteGroupSpec) -> list[CharacterTable]:
     """All prod(N_j) characters, in row-major order of the index k.
 
     Every table comes out of one outer product of the per-factor matrices
     whose row k is root_of_unity_powers(k, N_j), taken in the same order as
     in :func:`character_table`, so each equals character_table(g, k) bitwise.
+    Groups larger than ENUMERATION_CAP are refused.
     """
-    if g.size > cap:
-        raise ValueError(f"group size {g.size} exceeds enumeration cap {cap}")
+    if g.size > ENUMERATION_CAP:
+        raise ValueError(f"group size {g.size} exceeds enumeration cap {ENUMERATION_CAP}")
     # axes (k_1, m_1, k_2, m_2, ...), then the k axes brought first
     tables = reduce(
         np.multiply.outer,
@@ -215,30 +201,21 @@ def _worst_defect_all_pairs(values: np.ndarray) -> float:
     return math.sqrt(worst)
 
 
-def _worst_defect_sampled(values: np.ndarray, pairs: int, seed: int) -> float:
-    # the torus check's draw, not its memo: 2^20 pairs are 24 MB of indices
-    a, b, ab = _probe_pairs(values.shape, pairs, seed)
-    v = values.ravel()
-    return float(np.abs(v[ab] - v[a] * v[b]).max())
+def is_homomorphism_exhaustive(t: CharacterTable, seed: int = 0) -> tuple[bool, float]:
+    """Verify t(a+b) = t(a) t(b), returning (passes, worst defect); it passes
+    when the worst defect is at most HOM_TOL.
 
-
-def is_homomorphism_exhaustive(
-    t: CharacterTable,
-    tol: float = HOM_TOL,
-    all_pairs_cap: int = ALL_PAIRS_CAP,
-    seed: int = 0,
-) -> tuple[bool, float]:
-    """Verify t(a+b) = t(a) t(b), returning (passes, worst defect).
-
-    Literally every pair is checked up to ``all_pairs_cap`` group elements;
-    beyond that, a seeded sample of pairs (always including (0, 0)) bounds
-    the cost, and the result is explicitly a sampled verdict.
+    Literally every pair is checked up to ALL_PAIRS_CAP group elements;
+    beyond that, SAMPLED_PAIRS pairs drawn from ``seed`` (always including
+    (0, 0)) bound the cost, and the result is explicitly a sampled verdict.
     """
-    if t.group.size <= all_pairs_cap:
+    if t.group.size <= ALL_PAIRS_CAP:
         worst = _worst_defect_all_pairs(t.values)
     else:
-        worst = _worst_defect_sampled(t.values, SAMPLED_PAIRS, seed)
-    return worst <= tol, worst
+        # the torus check's draw, not its memo: 2^20 pairs are 24 MB of indices
+        pairs = _probe_pairs(t.group.orders, SAMPLED_PAIRS, seed)
+        worst = _sampled_defect(t.values, pairs)
+    return worst <= HOM_TOL, worst
 
 
 def identify_finite(
@@ -286,14 +263,15 @@ def identify_finite_brute(
 
 def to_symmetric_freq(k: IntVector, orders: IntVector) -> tuple[int, ...]:
     """Map a character index from the box prod [0, N_j) to the symmetric
-    box prod [-N_j//2, N_j - N_j//2) used by the spectral code."""
-    oo = (int(orders),) if np.isscalar(orders) else tuple(int(n) for n in orders)
+    box prod [-N_j//2, N_j - N_j//2) used by the spectral code.  ``orders``
+    must be valid :class:`FiniteGroupSpec` orders."""
+    oo = FiniteGroupSpec(orders).orders
     kk = _as_vector(k, len(oo), "k")
-    return tuple(((int(kj) + n // 2) % n) - n // 2 for kj, n in zip(kk, oo))
+    return tuple(((kj + n // 2) % n) - n // 2 for kj, n in zip(kk, oo))
 
 
 def from_symmetric_freq(k: IntVector, orders: IntVector) -> tuple[int, ...]:
     """Inverse of :func:`to_symmetric_freq`: reduce each component mod N_j."""
-    oo = (int(orders),) if np.isscalar(orders) else tuple(int(n) for n in orders)
+    oo = FiniteGroupSpec(orders).orders
     kk = _as_vector(k, len(oo), "k")
-    return tuple(int(kj) % n for kj, n in zip(kk, oo))
+    return tuple(kj % n for kj, n in zip(kk, oo))

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .circle import root_of_unity_powers
-from .samples import IntVector, TorusSamples, _adopt, _as_vector, shift_samples
+from .circle import character_values
+from .samples import IntVector, TorusSamples, _adopt, _as_vector, _freeze, shift_samples
 
 #: Default magnitude a coefficient must reach to count as dominant.  Parseval
 #: then caps any second coefficient at sqrt(1 - 0.81) ~ 0.436, so the spike
@@ -54,15 +54,9 @@ class FourierSpectrum:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if coeffs.shape != tuple(self.grid):
-            raise ValueError(
-                f"coefficient array shape {coeffs.shape} does not match grid {self.grid}"
-            )
-        coeffs = coeffs.copy()
-        coeffs.flags.writeable = False
         object.__setattr__(self, "grid", tuple(self.grid))
-        object.__setattr__(self, "coeffs", coeffs)
+        _freeze(self, "coeffs", self.grid,
+                "coefficient array shape {} does not match grid {}")
 
     @property
     def dim(self) -> int:
@@ -73,17 +67,10 @@ class FourierSpectrum:
         """Per-axis half-open frequency ranges [lo, hi)."""
         return tuple((-(n // 2), n - n // 2) for n in self.grid)
 
-    def _index_of(self, k: IntVector) -> tuple[int, ...]:
-        kk = _as_vector(k, self.dim, "k")
-        box = self.freq_box
-        for kj, (lo, hi) in zip(kk, box):
-            if not lo <= kj < hi:
-                raise ValueError(f"frequency {tuple(kk)} outside box {box}")
-        return tuple(int(kj) + n // 2 for kj, n in zip(kk, self.grid))
-
     def at(self, k: IntVector) -> complex:
         """The coefficient at integer frequency k (k must lie in the box)."""
-        return complex(self.coeffs[self._index_of(k)])
+        kk = _freq_in_box(k, self.grid)
+        return complex(self.coeffs[tuple(kj + n // 2 for kj, n in zip(kk, self.grid))])
 
     def items(self):
         """Iterate (k, coefficient) over the whole box."""
@@ -95,13 +82,10 @@ class FourierSpectrum:
 
 def _freq_in_box(k: IntVector, grid: tuple[int, ...]) -> tuple[int, ...]:
     kk = _as_vector(k, len(grid), "k")
-    kk = tuple(int(x) for x in kk)
     for kj, n in zip(kk, grid):
         if not -(n // 2) <= kj < n - n // 2:
-            raise ValueError(
-                f"frequency {kk} outside the grid's box "
-                f"{tuple((-(n // 2), n - n // 2) for n in grid)}"
-            )
+            box = tuple((-(n // 2), n - n // 2) for n in grid)
+            raise ValueError(f"frequency {kk} outside the grid's box {box}")
     return kk
 
 
@@ -112,10 +96,7 @@ def coefficient(s: TorusSamples, k: IntVector) -> complex:
     fast-transform spectrum is checked.
     """
     kk = _freq_in_box(k, s.grid)
-    phases = reduce(
-        np.multiply.outer,
-        (root_of_unity_powers(-kj, nj) for kj, nj in zip(kk, s.grid)),
-    )
+    phases = character_values([-kj for kj in kk], s.grid)
     return complex((s.values * phases).sum() / s.size)
 
 
@@ -249,7 +230,7 @@ def translation_identity_residual(
     """
     kk = _freq_in_box(k, s.grid)
     off = _as_vector(offset, s.dim, "offset")
-    off = tuple(int(o) % n for o, n in zip(off, s.grid))
+    off = tuple(o % n for o, n in zip(off, s.grid))
     y = tuple(2.0 * np.pi * o / n for o, n in zip(off, s.grid))
     phase = np.exp(-1j * math.fsum(kj * yj for kj, yj in zip(kk, y)))
     f_y = complex(s.values[off])

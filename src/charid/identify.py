@@ -33,7 +33,8 @@ import numpy as np
 
 from .circle import TWO_PI, div_arrays, principal_angles
 from .fourier import DOMINANCE_FLOOR, _dominates, _peaks, spectrum
-from .samples import LineSamples, TorusSamples, _adopt, _line_values, _probe_pairs
+from .samples import LineSamples, TorusSamples, _adopt, _line_values
+from .samples import _probe_pairs, _sampled_defect
 
 # Not called here: the torus path shares one magnitude pass between peaks and
 # dominance, and the line path one formula with sample_character_line.  The
@@ -126,9 +127,7 @@ def homomorphism_residual(s: TorusSamples, trials: int = 256, seed: int = 0) -> 
     a small residual.
     """
     _check_trials(trials, "trials")
-    a, b, ab = _cached_probe_pairs(s.grid, trials, seed)
-    v = s.values.ravel()
-    return float(np.abs(v[ab] - v[a] * v[b]).max())
+    return _sampled_defect(s.values, _cached_probe_pairs(s.grid, trials, seed))
 
 
 def _verdict(spike: bool, peak: float, law_holds: bool, cfg: IdentifyConfig) -> Verdict:

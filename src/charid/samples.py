@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .circle import UNIT_TOL, div_arrays, root_of_unity_powers, unit_deviation
+from .circle import UNIT_TOL, character_values, div_arrays, unit_deviation
 
 IntVector = Union[int, Sequence[int]]
 RealVector = Union[float, Sequence[float]]
@@ -43,11 +43,26 @@ def _as_grid(grid: IntVector) -> tuple[int, ...]:
     return g
 
 
-def _as_vector(v, dim: int, name: str) -> tuple:
+def _as_vector(v, dim: int, name: str, kind=int) -> tuple:
+    """A scalar or sequence ``v`` as a tuple of ``dim`` values of ``kind``."""
     t = (v,) if np.isscalar(v) else tuple(v)
     if len(t) != dim:
         raise ValueError(f"{name} has {len(t)} entries for a {dim}-axis grid")
-    return t
+    return tuple(kind(x) for x in t)
+
+
+def _freeze(obj, field: str, shape: tuple[int, ...], message: str) -> None:
+    """Set ``field`` of the frozen ``obj`` to a read-only complex128 copy of
+    its value in ``shape``, reshaping a flat value of the right size; any
+    other shape raises ValueError(message.format(got_shape, shape))."""
+    arr = np.asarray(getattr(obj, field), dtype=np.complex128)
+    if arr.shape != shape:
+        if arr.shape != (math.prod(shape),):
+            raise ValueError(message.format(arr.shape, shape))
+        arr = arr.reshape(shape)
+    arr = arr.copy()
+    arr.flags.writeable = False
+    object.__setattr__(obj, field, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,18 +78,8 @@ class TorusSamples:
 
     def __post_init__(self) -> None:
         grid = _as_grid(self.grid)
-        vals = np.asarray(self.values, dtype=np.complex128)
-        size = math.prod(grid)
-        if vals.shape == (size,):
-            vals = vals.reshape(grid)
-        elif vals.shape != grid:
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid {grid}"
-            )
-        vals = vals.copy()
-        vals.flags.writeable = False
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", vals)
+        _freeze(self, "values", grid, "values shape {} does not match grid {}")
 
     @property
     def dim(self) -> int:
@@ -93,14 +98,8 @@ class LineSamples:
     endpoint_values: np.ndarray
 
     def __post_init__(self) -> None:
-        ep = np.asarray(self.endpoint_values, dtype=np.complex128)
-        if ep.shape != (self.base.dim,):
-            raise ValueError(
-                f"expected {self.base.dim} endpoint values, got shape {ep.shape}"
-            )
-        ep = ep.copy()
-        ep.flags.writeable = False
-        object.__setattr__(self, "endpoint_values", ep)
+        _freeze(self, "endpoint_values", (self.base.dim,),
+                "expected {1[0]} endpoint values, got shape {0}")
 
     @property
     def dim(self) -> int:
@@ -141,14 +140,10 @@ def sample_character_torus(k: IntVector, grid: IntVector) -> TorusSamples:
     """
     g = _as_grid(grid)
     kk = _as_vector(k, len(g), "k")
-    kk = tuple(int(x) for x in kk)
     for kj, nj in zip(kk, g):
         if not 2 * abs(kj) < nj:
             raise ValueError(f"|k|={abs(kj)} aliases on an axis of {nj} samples")
-    values = reduce(
-        np.multiply.outer, (root_of_unity_powers(kj, nj) for kj, nj in zip(kk, g))
-    )
-    return TorusSamples(g, values)
+    return TorusSamples(g, character_values(kk, g))
 
 
 def sample_character_line(alpha: RealVector, grid: IntVector) -> LineSamples:
@@ -158,8 +153,7 @@ def sample_character_line(alpha: RealVector, grid: IntVector) -> LineSamples:
     the torus generator, or the fractional reduction could not recover it.
     """
     g = _as_grid(grid)
-    aa = _as_vector(alpha, len(g), "alpha")
-    aa = tuple(float(x) for x in aa)
+    aa = _as_vector(alpha, len(g), "alpha", float)
     values = _line_values(aa, g)
     endpoints = np.exp(2j * np.pi * np.asarray(aa))
     return LineSamples(_adopt(TorusSamples, g, values=values), endpoints)
@@ -186,7 +180,7 @@ def shift_samples(s: TorusSamples, offset: IntVector) -> TorusSamples:
     """Cyclic translation: output index m holds the input value at
     (m + offset) mod grid.  Exact, no interpolation."""
     off = _as_vector(offset, s.dim, "offset")
-    shifted = np.roll(s.values, tuple(-int(o) for o in off), axis=tuple(range(s.dim)))
+    shifted = np.roll(s.values, tuple(-o for o in off), axis=tuple(range(s.dim)))
     return TorusSamples(s.grid, shifted)
 
 
@@ -225,6 +219,14 @@ def _probe_pairs(
     return flat
 
 
+def _sampled_defect(values: np.ndarray, pairs: tuple[np.ndarray, ...]) -> float:
+    """max |f(a (+) b) - f(a) f(b)| of ``values`` over the flat index
+    triples ``pairs`` that :func:`_probe_pairs` draws."""
+    a, b, ab = pairs
+    v = values.ravel()
+    return float(np.abs(v[ab] - v[a] * v[b]).max())
+
+
 def pointwise_div(f: TorusSamples, g: TorusSamples) -> TorusSamples:
     """Elementwise renormalized quotient f/g over matching grids."""
     if f.grid != g.grid:
@@ -232,24 +234,23 @@ def pointwise_div(f: TorusSamples, g: TorusSamples) -> TorusSamples:
     return TorusSamples(f.grid, div_arrays(f.values, g.values))
 
 
-def validate(
-    s: Union[TorusSamples, LineSamples], tol: float = UNIT_TOL
-) -> list[Violation]:
-    """Check the unit-modulus invariant everywhere; never raises.
+def validate(s: Union[TorusSamples, LineSamples]) -> list[Violation]:
+    """Check the unit-modulus invariant, to within UNIT_TOL, everywhere;
+    never raises.
 
     Returns one :class:`Violation` per offending entry (empty list means all
     invariants hold).  Structural invariants are enforced at construction, so
     only the modulus can be wrong here.
     """
     if isinstance(s, LineSamples):
-        out = validate(s.base, tol)
+        out = validate(s.base)
         dev = unit_deviation(s.endpoint_values)
-        for (j,) in np.argwhere(~(dev <= tol)):
+        for (j,) in np.argwhere(~(dev <= UNIT_TOL)):
             out.append(Violation("endpoint_values", (int(j),), float(dev[j])))
         return out
     dev = unit_deviation(s.values)
-    # ~(dev <= tol) rather than dev > tol so NaN values are flagged too
+    # ~(dev <= UNIT_TOL) rather than dev > UNIT_TOL so NaN values are flagged too
     return [
         Violation("values", tuple(int(i) for i in idx), float(dev[tuple(idx)]))
-        for idx in np.argwhere(~(dev <= tol))
+        for idx in np.argwhere(~(dev <= UNIT_TOL))
     ]

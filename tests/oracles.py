@@ -11,8 +11,11 @@ purpose; agreement with the fast paths is the point of the comparison.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
+
+from charid.circle import root_of_unity_powers
 
 
 def oracle_spectrum(values: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
@@ -64,6 +67,16 @@ def exhaustive_hom_defect(values: np.ndarray, grid: tuple[int, ...]) -> float:
             ab = tuple((ai + bi) % n for ai, bi, n in zip(a, b, grid))
             worst = max(worst, abs(vals[ab] - vals[a] * vals[b]))
     return worst
+
+
+def outer_character(k, grid: tuple[int, ...]) -> np.ndarray:
+    """exp(2*pi*i k.m/N) over the grid as the per-axis outer product
+    ``reduce(np.multiply.outer, rows)`` spelled out, its rows the library's
+    integer-reduced roots of unity: the expression every character builder
+    must reproduce bit for bit."""
+    return reduce(
+        np.multiply.outer, (root_of_unity_powers(kj, nj) for kj, nj in zip(k, grid))
+    )
 
 
 def oracle_top_k(mag: np.ndarray, count: int) -> np.ndarray:

@@ -415,6 +415,46 @@ def test_competing_errors_report_the_first(tmp_path, capsys, name, text, argv, c
     assert err == f"charid: error: {message}\n"
 
 
+_HUGE = 10**400  # a JSON integer no float64 holds
+
+
+@pytest.mark.parametrize(
+    "mode, values, endpoints, what",
+    [
+        # parsed as an int, it overflowed the float64 cast with a traceback
+        ("torus", [[_HUGE, 0], [1, 0]], None, "values"),
+        ("line", [[1, 0], [1, 0]], [[_HUGE, 0]], "endpoint_values"),
+        # past uint64, numpy keeps the integer as an object: exit 4 before
+        ("torus", [[2**64, 0], [1, 0]], None, "values"),
+        # strings and booleans were cast to numbers: exit 0 before
+        ("torus", [["1", "0"], ["-1", "0"]], None, "values"),
+        ("torus", [[True, False], [True, False]], None, "values"),
+        ("line", [[1, 0], [1, 0]], [[True, False]], "endpoint_values"),
+        # null was cast to NaN: exit 4 before
+        ("torus", [[None, 0], [1, 0]], None, "values"),
+    ],
+    ids=["huge", "huge-endpoint", "2^64", "strings", "booleans",
+         "boolean-endpoint", "null"],
+)
+def test_pairs_must_be_json_numbers(tmp_path, capsys, mode, values, endpoints, what):
+    doc = {"mode": mode, "dim": 1, "grid": [2], "values": values}
+    if endpoints is not None:
+        doc["endpoint_values"] = endpoints
+    path = write(tmp_path / "v.json", json.dumps(doc))
+    code, out, err = run_main(capsys, ["analyze", "--input", path, "--mode", mode])
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err == f"charid: error: {what} must be an array of [re, im] number pairs\n"
+
+
+def test_integer_and_float_pairs_decode_alike(tmp_path):
+    ints = parse_input(write(tmp_path / "i.json", torus_doc([[1, 0], [-1, 0], [0, 1]])))
+    floats = parse_input(
+        write(tmp_path / "f.json", torus_doc([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
+    )
+    assert ints.values.tobytes() == floats.values.tobytes()
+
+
 def test_endpoint_flag_misuse(tmp_path, capsys):
     fixture = str(tmp_path / "f.json")
     main(["generate", "--mode", "torus", "--freq", "1", "--grid", "8",

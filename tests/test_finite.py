@@ -241,12 +241,13 @@ def test_trivial_group():
     assert identify_finite(t) == (0,)
 
 
-def test_sampled_pairs_branch():
+def test_sampled_pairs_branch(monkeypatch):
+    monkeypatch.setattr(finite, "ALL_PAIRS_CAP", 4)
     t = character_table(FiniteGroupSpec((4, 5)), (3, 2))
-    ok, worst = is_homomorphism_exhaustive(t, all_pairs_cap=4)
+    ok, worst = is_homomorphism_exhaustive(t)
     assert ok and worst < 1e-12
     const = CharacterTable(FiniteGroupSpec((20,)), -np.ones(20, dtype=complex))
-    ok_bad, worst_bad = is_homomorphism_exhaustive(const, all_pairs_cap=4)
+    ok_bad, worst_bad = is_homomorphism_exhaustive(const)
     assert not ok_bad
     assert worst_bad == pytest.approx(2.0)
 
@@ -324,6 +325,15 @@ def test_symmetric_box_round_trip_frozen():
     assert to_symmetric_freq((3, 2), (4, 5)) == (-1, 2)
     assert from_symmetric_freq((-1, 2), (4, 5)) == (3, 2)
     assert to_symmetric_freq((0,), (1,)) == (0,)
+
+
+@pytest.mark.parametrize("orders", [0, (0,), -4, (3, -4), ()])
+@pytest.mark.parametrize("convert", [to_symmetric_freq, from_symmetric_freq])
+def test_symmetric_box_refuses_orders_a_group_cannot_have(convert, orders):
+    # order 0 used to divide by zero; order -4 reduced 3 to -1 unnoticed
+    k = (3,) * (1 if np.isscalar(orders) else len(orders))
+    with pytest.raises(ValueError, match="factor"):
+        convert(k, orders)
 
 
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=3), st.data())

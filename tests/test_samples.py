@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charid.finite import CharacterTable, FiniteGroupSpec, character_table
+from charid.fourier import FourierSpectrum, coefficient
 from charid.samples import (
     LineSamples,
     TorusSamples,
@@ -17,7 +19,7 @@ from charid.samples import (
     validate,
 )
 
-from oracles import exhaustive_hom_defect
+from oracles import exhaustive_hom_defect, outer_character
 
 
 def test_torus_generator_frozen_value():
@@ -73,6 +75,67 @@ def test_values_are_read_only_copies():
     assert s.values[0] == 1.0
     with pytest.raises(ValueError):
         s.values[1] = 0.0
+
+
+#: (container on grid (4, 5) from a value, its field, its mismatch message)
+CONTAINERS = [
+    pytest.param(lambda v: TorusSamples((4, 5), v), "values",
+                 "values shape {} does not match grid (4, 5)", id="torus"),
+    pytest.param(lambda v: CharacterTable(FiniteGroupSpec((4, 5)), v), "values",
+                 "table shape {} does not match group orders (4, 5)", id="table"),
+    pytest.param(lambda v: FourierSpectrum((4, 5), v), "coeffs",
+                 "coefficient array shape {} does not match grid (4, 5)", id="spectrum"),
+]
+
+
+@pytest.mark.parametrize("make, field, message", CONTAINERS)
+@pytest.mark.parametrize("shape", [(5, 4), (21,), (4, 5, 1), ()])
+def test_container_mismatch_messages(make, field, message, shape):
+    with pytest.raises(ValueError) as err:
+        make(np.ones(shape, dtype=complex))
+    assert str(err.value) == message.format(shape)
+
+
+def test_endpoint_mismatch_message():
+    base = sample_character_torus((1, 2), (4, 5))
+    for shape in [(3,), (1, 2), ()]:
+        with pytest.raises(ValueError) as err:
+            LineSamples(base, np.ones(shape, dtype=complex))
+        assert str(err.value) == f"expected 2 endpoint values, got shape {shape}"
+
+
+@pytest.mark.parametrize("make, field, message", CONTAINERS)
+def test_flat_input_is_reshaped_into_a_read_only_copy(make, field, message):
+    raw = np.arange(20, dtype=float)
+    stored = getattr(make(raw), field)
+    raw[0] = 7.0
+    assert stored.dtype == np.complex128 and stored.shape == (4, 5)
+    assert np.array_equal(stored, np.arange(20).reshape(4, 5))
+    assert not stored.flags.writeable
+    with pytest.raises(ValueError):
+        stored[0, 0] = 1.0
+
+
+def test_endpoints_are_a_read_only_complex_copy():
+    ls = LineSamples(sample_character_torus((1, 2), (4, 5)), [1, -1])
+    assert ls.endpoint_values.dtype == np.complex128
+    assert not ls.endpoint_values.flags.writeable
+
+
+@pytest.mark.parametrize("grid", [(7,), (8,), (2, 2), (5, 6), (3, 4, 5), (6, 9, 2)])
+def test_character_builders_match_the_outer_product_bitwise(grid):
+    rng = np.random.default_rng(len(grid))
+    noise = TorusSamples(grid, np.exp(1j * rng.uniform(0, 2 * np.pi, size=grid)))
+    boxes = [range(-((n - 1) // 2), n // 2 + n % 2) for n in grid]
+    for k in [tuple(int(rng.choice(b)) for b in boxes) for _ in range(6)]:
+        want = outer_character(k, grid)
+        assert sample_character_torus(k, grid).values.tobytes() == want.tobytes()
+        k_box = tuple(kj % n for kj, n in zip(k, grid))
+        table = character_table(FiniteGroupSpec(grid), k_box).values
+        assert table.tobytes() == outer_character(k_box, grid).tobytes()
+        phases = outer_character(tuple(-kj for kj in k), grid)
+        direct = complex((noise.values * phases).sum() / noise.size)
+        assert coefficient(noise, k) == direct
 
 
 def test_shift_is_exact_cyclic_permutation():
