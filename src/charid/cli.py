@@ -18,6 +18,7 @@ formats, optionally with seeded uniform phase jitter, so round trips
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -33,7 +34,7 @@ from .finite import (
     identify_finite,
     is_homomorphism_exhaustive,
 )
-from .fourier import _top_indices
+from .fourier import _dft, _top_indices
 from .identify import CharacterReport, IdentifyConfig, _verdict, classify
 from .samples import (
     LineSamples,
@@ -137,7 +138,8 @@ def _load_text(path: str) -> str:
 def _pairs_to_complex(field, count: int, what: str) -> np.ndarray:
     """Decode a JSON array of [re, im] pairs of the expected length; numpy
     must read it as integers or floats, so strings, booleans, nulls and
-    integers that do not fit in 64 bits are refused rather than cast."""
+    integers that do not fit in 64 bits are refused rather than cast.  A
+    boolean among numbers, which numpy reads as 1 or 0, is refused too."""
     if not isinstance(field, list):
         raise InputError(EXIT_MALFORMED, f"{what} must be an array of [re, im] pairs")
     if len(field) != count:
@@ -153,6 +155,8 @@ def _pairs_to_complex(field, count: int, what: str) -> np.ndarray:
         raise not_numbers
     if arr.shape != (count, 2):
         raise InputError(EXIT_MALFORMED, f"{what} entries must be [re, im] pairs")
+    if bool in set(map(type, itertools.chain.from_iterable(field))):
+        raise not_numbers
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -316,7 +320,7 @@ def _finite_report(table: CharacterTable, cfg: IdentifyConfig) -> CharacterRepor
     the non-negative box prod [0, N_j).
     """
     passed, worst = is_homomorphism_exhaustive(table)
-    mags = np.abs(np.fft.fftn(table.values)).ravel() / table.group.size
+    mags = np.abs(_dft(table.values)).ravel() / table.group.size
     peaks = tuple(
         (
             tuple(int(i) for i in np.unravel_index(int(flat), table.group.orders)),

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .circle import character_values, root_of_unity_powers
-from .fourier import DOMINANCE_FLOOR
+from .fourier import DOMINANCE_FLOOR, _dft
 from .samples import IntVector, _as_vector, _freeze, _probe_pairs, _sampled_defect
 
 #: Largest group size enumerate_characters accepts.  The |G| tables hold
@@ -42,13 +44,20 @@ ALL_PAIRS_CAP = 1 << 16
 #: Number of sampled pairs used beyond ALL_PAIRS_CAP.
 SAMPLED_PAIRS = 1 << 20
 
-#: Most pairs the all-pairs check holds in memory at once (16 bytes each).
-#: It sizes both the boxes of a' values whose rolled copies of the table are
-#: made together and the blocks of rows a0 taken from one copy that alone
-#: is more (see _worst_defect_all_pairs).  Blocks of 1 MiB stay cache
-#: resident: on a 2 MiB-L2 Xeon, Z_16384 checks in half the time it takes
-#: with 2^20-pair blocks.
+#: Most pairs each worker of the all-pairs check holds in memory at once
+#: (16 bytes each).  It sizes both the boxes of a' values whose rolled
+#: copies of the table are made together and the blocks of rows a0 taken
+#: from one copy that alone is more (see _worst_defect_all_pairs).  Blocks
+#: of 1 MiB stay resident in a core's cache: on a 2 MiB-L2 Xeon, Z_16384
+#: checks in half the time it takes with 2^20-pair blocks, and two workers
+#: sharing 2^16 pairs between them gain only x1.2-1.4 over one worker where
+#: 2^16 pairs each gain x1.5-1.75.
 BLOCK_PAIRS = 1 << 16
+
+#: Most threads one all-pairs check runs on.  Each holds a block of up to
+#: BLOCK_PAIRS pairs and one box of rolled copies, so this cap bounds the
+#: check's memory on a host of any size.
+MAX_WORKERS = 4
 
 #: A table passes the multiplicative check when its worst defect is below this.
 HOM_TOL = 1e-12
@@ -139,6 +148,31 @@ def _boxes(shape: tuple[int, ...], budget: int):
     ]
 
 
+def _worker_count() -> int:
+    """The CPUs this process may run on, at most MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(MAX_WORKERS, cpus)
+
+
+def _block_worst(t_a, t_b, t_ab, o=None, s=None) -> float:
+    """max |t_ab - t_a t_b|^2 over one block.  It is computed in ``o`` and
+    ``s``, flat complex and float64 buffers at least the block's size, when
+    they are given, and in new arrays otherwise."""
+    if o is not None:
+        o = o[: t_ab.size].reshape(t_ab.shape)
+        s = s[: t_ab.size].reshape(t_ab.shape)
+    # each ufunc writes to its third argument, a new array if that is None
+    o = np.multiply(t_a, t_b, o)
+    np.subtract(t_ab, o, o)
+    # |o|^2: the float64 view squared in place, real plus imaginary half
+    f = o.view(np.float64)
+    np.multiply(f, f, f)
+    return float(np.add(f[..., 0::2], f[..., 1::2], s).max())
+
+
 def _worst_defect_all_pairs(values: np.ndarray) -> float:
     """max |t(a+b) - t(a) t(b)| over every pair of group elements.
 
@@ -155,10 +189,20 @@ def _worst_defect_all_pairs(values: np.ndarray) -> float:
     The copies R(a') are made for one box of a' values at a time, at most
     BLOCK_PAIRS pairs' worth (or a single a'); where one copy is more, its
     rows a0 go in blocks of BLOCK_PAIRS pairs (or one row, about |G|/2
-    pairs).  This bounds memory on large tables, and a table of up to about
-    360 elements is a single block.  R(0) is the first copy of the first
-    box.  On a cyclic group a' is empty and R() is the table tripled, with
-    no copy made.
+    pairs).  On a cyclic group a' is empty and R() is the table tripled,
+    with no copy made.
+
+    A table of up to about 360 elements is a single block, checked in the
+    calling thread.  Larger ones are split between _worker_count() workers:
+    the calling thread and threads it starts, which run at once because
+    numpy's ufuncs release the interpreter lock.  The boxes go round the
+    workers in turn; a single box (a cyclic group) has its blocks of rows
+    dealt out instead.  Each worker reduces its share to a worst |defect|^2
+    and the caller takes the max, which is exact in any order, so the result
+    does not depend on the worker count; a NaN in any share is the answer.
+    The threads keep the caller's numpy floating-point error handling.
+    Every thread is joined before the call returns or raises, and the first
+    worker's exception, if any, is raised in the caller.
     """
     longest = values.shape.index(max(values.shape))
     if longest:
@@ -166,39 +210,90 @@ def _worst_defect_all_pairs(values: np.ndarray) -> float:
     n0, rest, size = values.shape[0], values.shape[1:], values.size
     m = size // n0
     run = (n0 // 2 + 1) * m
-    ext = np.concatenate([values] * 3)
+    base = ext = np.concatenate([values] * 3)  # R(0)
     for ax in range(1, values.ndim):
         ext = np.concatenate([ext] * 2, axis=ax)
     # rolled[a'] = R(a'): rolled[a'][x0, x'] = ext[x0, x' + a'], x0 < 3 N0
     st, dt, item = ext.strides, ext.dtype, ext.itemsize
     rolled = np.ndarray(rest + (3 * n0,) + rest, dt, ext, 0, st[1:] + st)
     plane, row = 3 * size * item, m * item
-    worst = 0.0
-    base = None
-    for box in _boxes(rest, max(1, BLOCK_PAIRS // (n0 * run))):
-        copies = np.ascontiguousarray(rolled[box])
-        if base is None:
-            base = copies  # the first box starts with R(0)
-        count = copies.size // (3 * size)
-        step = max(1, BLOCK_PAIRS // (count * run))
-        for r0 in range(0, n0, step):
-            rows, at = min(step, n0 - r0), r0 * row
-            t_a = np.ndarray((count, rows, 1), dt, copies, at, (plane, row, item))
-            t_b = np.ndarray((rows, run), dt, base, at, (row, item))
-            o = t_a * t_b
-            t_ab = np.ndarray(
-                (count, rows, run), dt, copies, 2 * at, (plane, 2 * row, item)
-            )
-            np.subtract(t_ab, o, out=o)
-            # |o|^2: the float64 view squared in place, real plus imaginary half
-            f = o.view(np.float64)
-            np.multiply(f, f, out=f)
-            block_worst = float((f[..., 0::2] + f[..., 1::2]).max())
-            # max() would keep worst over a NaN; a NaN anywhere is the answer
-            if math.isnan(block_worst):
-                return math.nan
-            worst = max(worst, block_worst)
-    return math.sqrt(worst)
+    budget = max(1, BLOCK_PAIRS // (n0 * run))
+    boxes = _boxes(rest, budget)
+
+    def share_worst(boxes, first, stride, o=None, s=None, copy=None) -> float:
+        """Worst |defect|^2 over the blocks of rows first, first + stride,
+        ... of each box in ``boxes``, its copies made in ``copy`` if given."""
+        worst = 0.0
+        for box in boxes:
+            src = rolled[box]
+            if copy is None:
+                copies = np.ascontiguousarray(src)
+            else:
+                copies = copy[: src.size].reshape(src.shape)
+                np.copyto(copies, src)
+            count = copies.size // (3 * size)
+            step = max(1, BLOCK_PAIRS // (count * run))
+            for r0 in range(first * step, n0, stride * step):
+                rows, at = min(step, n0 - r0), r0 * row
+                block_worst = _block_worst(
+                    np.ndarray((count, rows, 1), dt, copies, at, (plane, row, item)),
+                    np.ndarray((rows, run), dt, base, at, (row, item)),
+                    np.ndarray(
+                        (count, rows, run), dt, copies, 2 * at, (plane, 2 * row, item)
+                    ),
+                    o,
+                    s,
+                )
+                # max() would keep worst over a NaN; a NaN anywhere is the answer
+                if math.isnan(block_worst):
+                    return math.nan
+                worst = max(worst, block_worst)
+        return worst
+
+    if n0 * m * run <= BLOCK_PAIRS:  # one block
+        return math.sqrt(share_worst(boxes, 0, 1))
+    one_box = len(boxes) == 1  # then m is 1
+    shares = -(-n0 // max(1, BLOCK_PAIRS // run)) if one_box else len(boxes)
+    workers = min(_worker_count(), shares)
+    worst: list[float] = [0.0] * workers
+    errors: list[BaseException | None] = [None] * workers
+    fp_errors = np.geterr()  # a new thread starts from numpy's defaults
+
+    def work(w, *buffers):
+        try:
+            share = (boxes, w, workers) if one_box else (boxes[w::workers], 0, 1)
+            with np.errstate(**fp_errors):
+                worst[w] = share_worst(*share, *buffers)
+        except BaseException as err:  # raised again in the caller
+            errors[w] = err
+
+    # Every worker's buffers are allocated here: arrays allocated in the
+    # threads would each take a malloc arena of their own and raise peak RSS
+    pairs = max(BLOCK_PAIRS, run)  # the largest block
+    buffers = [
+        (
+            np.empty(pairs, dt),
+            np.empty(pairs),
+            np.empty(min(budget, m) * 3 * size, dt) if rest else None,
+        )
+        for _ in range(workers)
+    ]
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=work, args=(w, *buffers[w]))
+            thread.start()
+            threads.append(thread)
+        work(0, *buffers[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
+    if any(map(math.isnan, worst)):
+        return math.nan
+    return math.sqrt(max(worst))
 
 
 def is_homomorphism_exhaustive(t: CharacterTable, seed: int = 0) -> tuple[bool, float]:
@@ -228,7 +323,7 @@ def identify_finite(
     only when its magnitude reaches ``floor``; ties take the lexicographically
     smallest k.  A peak that is not finite (a NaN or inf entry) gives None.
     """
-    mags = np.abs(np.fft.fftn(t.values)) / t.group.size
+    mags = np.abs(_dft(t.values)) / t.group.size
     flat = int(np.argmax(mags))
     peak = float(mags.flat[flat])
     # NaN never compares below the floor, so test for acceptance instead

@@ -8,12 +8,14 @@ import sys
 import numpy as np
 import pytest
 
+from charid import cli, finite
 from charid.cli import (
     EXIT_INVARIANT,
     EXIT_MALFORMED,
     EXIT_MISSING_FILE,
     EXIT_USAGE,
     InputError,
+    _finite_report,
     _fmt_float,
     _fmt_rows,
     _json_pairs,
@@ -21,6 +23,8 @@ from charid.cli import (
     main,
     parse_input,
 )
+from charid.finite import CharacterTable, FiniteGroupSpec, character_table, identify_finite
+from charid.identify import IdentifyConfig
 from charid.samples import LineSamples, TorusSamples
 
 
@@ -432,9 +436,14 @@ _HUGE = 10**400  # a JSON integer no float64 holds
         ("line", [[1, 0], [1, 0]], [[True, False]], "endpoint_values"),
         # null was cast to NaN: exit 4 before
         ("torus", [[None, 0], [1, 0]], None, "values"),
+        # a boolean among numbers was read as 1 or 0: exit 0 before
+        ("torus", [[True, 0.0], [-1.0, 0.0]], None, "values"),
+        ("torus", [[1, 0], [-1, False]], None, "values"),
+        ("line", [[1, 0], [1, 0]], [[1.0, False]], "endpoint_values"),
     ],
     ids=["huge", "huge-endpoint", "2^64", "strings", "booleans",
-         "boolean-endpoint", "null"],
+         "boolean-endpoint", "null", "true-among-floats", "false-among-ints",
+         "boolean-among-endpoint-numbers"],
 )
 def test_pairs_must_be_json_numbers(tmp_path, capsys, mode, values, endpoints, what):
     doc = {"mode": mode, "dim": 1, "grid": [2], "values": values}
@@ -445,6 +454,24 @@ def test_pairs_must_be_json_numbers(tmp_path, capsys, mode, values, endpoints, w
     assert code == EXIT_MALFORMED
     assert out == ""
     assert err == f"charid: error: {what} must be an array of [re, im] number pairs\n"
+
+
+def test_one_axis_finite_dft_is_fftn_bitwise(monkeypatch):
+    # the finite report and identify_finite take a 1-D table's DFT with
+    # np.fft.fft: the same numbers, bit for bit, as fftn on the one axis
+    rng = np.random.default_rng(10)
+    tables = []
+    for n in [*range(1, 257), 16384, 65537]:
+        g = FiniteGroupSpec((n,))
+        k = int(rng.integers(0, n))
+        jitter = np.exp(1j * rng.normal(0.0, 0.05, n))
+        tables += [character_table(g, k), CharacterTable(g, character_table(g, k).values * jitter)]
+    found = [(identify_finite(t), _finite_report(t, IdentifyConfig())) for t in tables]
+    monkeypatch.setattr(cli, "_dft", np.fft.fftn)
+    monkeypatch.setattr(finite, "_dft", np.fft.fftn)
+    for t, (dom, report) in zip(tables, found):
+        assert identify_finite(t) == dom
+        assert _finite_report(t, IdentifyConfig()) == report
 
 
 def test_integer_and_float_pairs_decode_alike(tmp_path):

@@ -1,7 +1,11 @@
 """Finite abelian groups: enumeration, exhaustive verification, dual identification."""
 
+import functools
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +181,145 @@ def test_kernel_blocks_cover_every_pair(monkeypatch, orders, block_pairs):
     assert worst > 1e-7
 
 
+def _in_last_share(orders, workers):
+    """A flat index a whose pairs (a, b) the last worker of the all-pairs
+    check takes, at the current BLOCK_PAIRS: the kernel's split, redone."""
+    longest = orders.index(max(orders))
+    moved = list(orders)
+    moved[0], moved[longest] = moved[longest], moved[0]
+    n0, rest = moved[0], tuple(moved[1:])
+    m = math.prod(rest)
+    run = (n0 // 2 + 1) * m
+    boxes = finite._boxes(rest, max(1, finite.BLOCK_PAIRS // (n0 * run)))
+    if len(boxes) > 1:  # the boxes go round the workers
+        box = boxes[min(workers, len(boxes)) - 1]
+        head = tuple(b.start if isinstance(b, slice) else b for b in box)
+        index = [n0 - 1, *head, *(0,) * (len(rest) - len(head))]
+    else:  # the blocks of rows do
+        step = max(1, finite.BLOCK_PAIRS // run)
+        shares = min(workers, -(-n0 // step))
+        last = range((shares - 1) * step, n0, shares * step)[-1]
+        index = [min(last + step, n0) - 1] + [0] * len(rest)
+    index[0], index[longest] = index[longest], index[0]
+    return int(np.ravel_multi_index(index, orders))
+
+
+def _split_table(orders, kind, at):
+    g = FiniteGroupSpec(orders)
+    if kind == "random":
+        return np.exp(1j * np.random.default_rng(sum(orders)).uniform(0, 2 * np.pi, orders))
+    vals = character_table(g, (1,) * len(orders)).values.copy()
+    if kind == "negated":
+        vals = -vals
+    elif kind == "perturbed":
+        vals.flat[at] *= np.exp(1e-6j)
+    elif kind == "nan":
+        vals.flat[at] = complex(math.nan, 0.0)
+    return vals
+
+
+@functools.cache
+def _oracle_defect(orders, kind, at):
+    return exhaustive_hom_defect(_split_table(orders, kind, at), orders)
+
+
+@pytest.mark.parametrize("kind", ["random", "exact", "negated", "perturbed", "nan"])
+@pytest.mark.parametrize("orders", [(5, 2, 9), (3, 13, 5), (2, 184), (363,)])
+def test_result_does_not_depend_on_worker_count(monkeypatch, orders, kind):
+    # longest axes last, in the middle and last of two, where the boxes of
+    # a' go round the workers, and a cyclic group, where its blocks of rows
+    # do; 2 x 184 and Z_363 are more than one block at the default
+    # BLOCK_PAIRS.  The perturbed entry e is worst only on the pair (e, e),
+    # which only e's worker checks (e is not 0, where 2e = e), and e, like
+    # the NaN, is put in the last worker's share; with fewer shares than
+    # workers, the last one that has a share.  3 and 4 workers are more
+    # threads than a 2-core host has cores, and they switch often
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for block_pairs in (7, 40, 1000, finite.BLOCK_PAIRS):
+            monkeypatch.setattr(finite, "BLOCK_PAIRS", block_pairs)
+            for workers in (1, 2, 3, finite.MAX_WORKERS):
+                at = _in_last_share(orders, workers)
+                t = CharacterTable(FiniteGroupSpec(orders), _split_table(orders, kind, at))
+                results = []
+                for count in (1, workers):
+                    monkeypatch.setattr(finite, "_worker_count", lambda: count)
+                    with np.errstate(invalid="ignore"):
+                        results.append(is_homomorphism_exhaustive(t)[1])
+                serial, split = results
+                assert np.float64(split).tobytes() == np.float64(serial).tobytes()
+                if kind == "nan":
+                    assert math.isnan(split)
+                    continue
+                oracle = _oracle_defect(orders, kind, at if kind == "perturbed" else None)
+                assert split == pytest.approx(oracle, abs=1e-15)
+                if kind == "perturbed":
+                    assert split > 1.5e-6  # |exp(2e-6 i) - 1|, not another pair's 1e-6
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_failing_worker_raises_in_caller(monkeypatch, failing):
+    # the caller is worker 1 and a started thread worker 2.  Caught nowhere,
+    # worker 2's error would end its thread quietly, its share would keep
+    # the worst defect 0.0, and this broken table would pass
+    real = finite._block_worst
+
+    def flaky(*args):
+        in_caller = threading.current_thread() is threading.main_thread()
+        if in_caller == (failing == 1):
+            raise MemoryError("worker %d" % failing)
+        return real(*args)
+
+    monkeypatch.setattr(finite, "_block_worst", flaky)
+    monkeypatch.setattr(finite, "_worker_count", lambda: 2)
+    t = CharacterTable(FiniteGroupSpec((363,)), -character_table(FiniteGroupSpec((363,)), 1).values)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="worker %d" % failing):
+        is_homomorphism_exhaustive(t)
+    assert threading.active_count() == before  # every worker was joined
+
+
+def test_workers_keep_the_callers_floating_point_errstate(monkeypatch):
+    # an invalid operation in the started thread's share raises or stays
+    # silent as the caller's np.errstate says, as it would in one thread
+    real = finite._block_worst
+
+    def invalid_in_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            np.sqrt(np.array(-1.0))
+        return real(*args)
+
+    monkeypatch.setattr(finite, "_block_worst", invalid_in_thread)
+    monkeypatch.setattr(finite, "_worker_count", lambda: 2)
+    t = character_table(FiniteGroupSpec((363,)), 1)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        is_homomorphism_exhaustive(t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):
+            assert is_homomorphism_exhaustive(t)[0]
+
+
+def test_small_tables_stay_serial(monkeypatch):
+    # a table of one block is checked in the calling thread: no thread is
+    # started for criterion 4's 100,000 checks or lib-finite's small tables,
+    # whose largest are Z_256, 16 x 16 (both criterion 4's too) and 6 x 6 x 6
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_threads)
+    monkeypatch.setattr(finite, "_worker_count", lambda: finite.MAX_WORKERS)
+    groups = [(n,) for n in range(1, 257)]
+    groups += [(a, b) for a in range(2, 17) for b in range(a, 256 // a + 1)]
+    for orders in groups + [(6, 6, 6)]:
+        c = character_table(FiniteGroupSpec(orders), tuple(n // 2 for n in orders))
+        assert is_homomorphism_exhaustive(c)[0], orders
+        assert not is_homomorphism_exhaustive(CharacterTable(c.group, -c.values))[0]
+
+
 def test_enumeration_equals_character_table_bitwise():
     for orders in [(6,), (4, 6), (2, 3, 4)]:
         g = FiniteGroupSpec(orders)
@@ -303,6 +446,14 @@ def test_all_pairs_memory_is_bounded(orders):
         tracemalloc.stop()
     assert ok
     assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("orders", [(16384,), (128, 128), (2, 8192), (32, 32, 16)])
+def test_all_pairs_memory_is_bounded_at_worker_cap(monkeypatch, orders):
+    # each worker holds its own block and box copy: the same bound holds
+    # with as many workers as MAX_WORKERS allows, on a host of any size
+    monkeypatch.setattr(finite, "_worker_count", lambda: finite.MAX_WORKERS)
+    test_all_pairs_memory_is_bounded(orders)
 
 
 @pytest.mark.parametrize("n,k", [(512, 100), (1000, 333), (1024, 1023)])
