@@ -21,6 +21,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 from typing import Callable
 
@@ -53,6 +54,13 @@ EXIT_MALFORMED = 3
 EXIT_INVARIANT = 4
 
 _DEFAULTS = IdentifyConfig()
+
+#: Most samples ``generate`` writes, 64 MiB of complex values; larger grids
+#: are refused before anything is allocated.
+GENERATE_CAP = 1 << 22
+
+#: Longest error message printed after "charid: error: ".
+ERROR_CHARS = 200
 
 
 class InputError(Exception):
@@ -386,6 +394,9 @@ def generate(
         raise InputError(
             EXIT_USAGE, f"freq has {len(freqs)} entries but grid has {len(grid)}"
         )
+    # orders below 1 are the grid checks' to report
+    if min(grid) >= 1 and math.prod(grid) > GENERATE_CAP:
+        raise InputError(EXIT_USAGE, f"grid {tuple(grid)} has more than {GENERATE_CAP} samples")
     # the jitter draw needs its width 2 * noise finite, not just noise
     if not (noise >= 0.0 and math.isfinite(2.0 * noise)):
         raise InputError(EXIT_USAGE, f"noise must be finite and >= 0, got {noise}")
@@ -452,12 +463,24 @@ def _as_ints(freqs: list[float]) -> list[int]:
 # ---------------------------------------------------------------------------
 # argument handling
 
+def _error_line(message: str) -> str:
+    """The one diagnostic line for ``message``: integers of more than 20
+    digits, which argv can make of any length, shortened to their leading
+    digits and exponent, and what is still past ERROR_CHARS cut from the
+    middle."""
+    message = re.sub(r"\d{21,}", lambda m: f"{m[0][0]}.{m[0][1:4]}e+{len(m[0]) - 1}", message)
+    if len(message) > ERROR_CHARS:
+        half = (ERROR_CHARS - 5) // 2
+        message = f"{message[:half]} ... {message[-half:]}"
+    return f"charid: error: {message}\n"
+
+
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad flags; the contract reserves 2 for
-    # missing files and uses 1 for usage errors.
+    # argparse exits with 2 on bad flags and prints its usage first; the
+    # contract reserves 2 for missing files, uses 1 for usage errors and
+    # prints one line
     def error(self, message: str) -> None:  # noqa: D102 - argparse override
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, _error_line(message))
 
 
 def _num_list(text: str, kind, name: str) -> list:
@@ -525,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return EXIT_OK
     except InputError as err:
-        print(f"charid: error: {err}", file=sys.stderr)
+        sys.stderr.write(_error_line(str(err)))
         return err.code
 
 

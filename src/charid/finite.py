@@ -29,7 +29,7 @@ from functools import reduce
 
 import numpy as np
 
-from .circle import character_values, root_of_unity_powers
+from .circle import UNIT_TOL, character_values, root_of_unity_powers, unit_deviation
 from .fourier import DOMINANCE_FLOOR, _dft
 from .samples import IntVector, _as_vector, _freeze, _probe_pairs, _sampled_defect
 
@@ -58,6 +58,11 @@ BLOCK_PAIRS = 1 << 16
 #: BLOCK_PAIRS pairs and one box of rolled copies, so this cap bounds the
 #: check's memory on a host of any size.
 MAX_WORKERS = 4
+
+#: Most entries far from the DFT's character whose pairs the all-pairs
+#: certificate evaluates (see _certified_worst): at most about
+#: 3 CERTIFIED_ENTRIES |G| / 2 pairs against the full walk's |G|^2 / 2.
+CERTIFIED_ENTRIES = 64
 
 #: A table passes the multiplicative check when its worst defect is below this.
 HOM_TOL = 1e-12
@@ -296,16 +301,90 @@ def _worst_defect_all_pairs(values: np.ndarray) -> float:
     return math.sqrt(max(worst))
 
 
+def _certified_worst(values: np.ndarray) -> float | None:
+    """_worst_defect_all_pairs(values), bit for bit, from the few entries far
+    from a character, or None where that cannot be certified.
+
+    Let chi be the character the DFT names, u = t conj(chi) and
+    e = |u - 1|.  In exact arithmetic t and u have the same defect, and
+    u(a+b) - u(a) u(b) = (u(a+b) - 1) - (u(b) - 1) - u(b) (u(a) - 1), so a
+    pair's defect is at most e(a+b) + e(b) + |t(b)| e(a).  B is the shortest
+    prefix, of at most CERTIFIED_ENTRIES, of the entries ranked by e that
+    leaves the largest e outside it, tau, small enough for the bound
+    (2 + U) tau + 1e-12 on every pair avoiding B to be below the largest e;
+    U = max |t|, and 1e-12 absorbs rounding.  The pairs of the full walk
+    with a, b or a+b in B are evaluated with its arithmetic and operand
+    order, t(a) t(b).  When their worst exceeds the bound, no pair left out
+    reaches it, and it is the full walk's result.
+
+    The full walk's pairs are those with (b_L - a_L) mod N_L in
+    [0, N_L//2] on its longest axis L.  Tables of one block, whose walk costs
+    as little, and tables with an entry off the unit circle by more than
+    UNIT_TOL (non-finite ones included), whose U is unbounded, give None.
+    chi decides only whether this fires, never the result.
+    """
+    shape = values.shape
+    longest = shape.index(max(shape))
+    n0, size = shape[longest], values.size
+    m = size // n0
+    if n0 * m * (n0 // 2 + 1) * m <= BLOCK_PAIRS:  # one block
+        return None
+    # NaN fails the comparison too
+    if not unit_deviation(values).max() <= UNIT_TOL:
+        return None
+    k = np.unravel_index(int(np.argmax(np.abs(_dft(values)))), shape)
+    e = np.abs(values * np.conj(character_values(k, shape)) - 1.0).ravel()
+    count = min(CERTIFIED_ENTRIES, size - 1)
+    top = np.argpartition(e, size - count - 1)[size - count - 1 :]
+    top = top[np.argsort(-e[top])]
+    # bounds[j] holds for the pairs avoiding the j + 1 entries ranked first
+    bounds = (2.0 + np.abs(values).max()) * e[top[1:]] + 1e-12
+    below = np.flatnonzero(bounds < e[top[0]])
+    if not below.size:
+        return None
+    prefix = int(below[0]) + 1
+    axes = tuple(range(values.ndim))
+    neg = np.roll(np.flip(values), 1, axes)  # neg[a] = t(-a)
+    rows, half = np.arange(n0), n0 // 2
+
+    def pick(rule, *tables):
+        """The entries of ``tables`` whose coordinate on L obeys ``rule``."""
+        return (np.compress(rule, table, longest) for table in tables)
+
+    worst = 0.0
+    for x in zip(*(c.tolist() for c in np.unravel_index(top[:prefix], shape))):
+        t_x = values[x].reshape((1,) * values.ndim)
+        plus = np.roll(values, tuple(-i for i in x), axes)  # plus[b] = t(x + b)
+        minus = np.roll(neg, x, axes)  # minus[a] = t(x - a)
+        x_l = x[longest]
+        # (x, b): b_L - x_L in the half window; (a, x): x_L - a_L; (a, x - a): x_L - 2 a_L
+        t_b, t_xb = pick((rows - x_l) % n0 <= half, values, plus)
+        t_a, t_ax = pick((x_l - rows) % n0 <= half, values, plus)
+        s_a, s_b = pick((x_l - 2 * rows) % n0 <= half, values, minus)
+        worst = max(
+            worst,
+            _block_worst(t_x, t_b, t_xb),
+            _block_worst(t_a, t_x, t_ax),
+            _block_worst(s_a, s_b, t_x),
+        )
+    if worst > bounds[prefix - 1] ** 2:
+        return math.sqrt(worst)
+    return None
+
+
 def is_homomorphism_exhaustive(t: CharacterTable, seed: int = 0) -> tuple[bool, float]:
     """Verify t(a+b) = t(a) t(b), returning (passes, worst defect); it passes
     when the worst defect is at most HOM_TOL.
 
-    Literally every pair is checked up to ALL_PAIRS_CAP group elements;
+    Literally every pair is checked up to ALL_PAIRS_CAP group elements, or
+    certified unchecked (see _certified_worst), with the same result;
     beyond that, SAMPLED_PAIRS pairs drawn from ``seed`` (always including
     (0, 0)) bound the cost, and the result is explicitly a sampled verdict.
     """
     if t.group.size <= ALL_PAIRS_CAP:
-        worst = _worst_defect_all_pairs(t.values)
+        worst = _certified_worst(t.values)
+        if worst is None:
+            worst = _worst_defect_all_pairs(t.values)
     else:
         # the torus check's draw, not its memo: 2^20 pairs are 24 MB of indices
         pairs = _probe_pairs(t.group.orders, SAMPLED_PAIRS, seed)

@@ -1,14 +1,21 @@
 """CLI contract: formats, exit codes, round trips, determinism, fuzz."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from charid import cli, finite
+from charid import circle, cli, finite, samples
 from charid.cli import (
     EXIT_INVARIANT,
     EXIT_MALFORMED,
@@ -569,3 +576,178 @@ def test_fuzz_parse_input_never_aborts(tmp_path):
             parse_input(str(p), mode="torus")
         except InputError:
             pass
+
+
+# -- hostile argv ------------------------------------------------------------------
+
+def _run_quietly(argv):
+    """(exit code, stdout, stderr) of one in-process ``main`` call, with any
+    warning raised as an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_error_line(code, out, err):
+    assert code in (EXIT_USAGE, EXIT_MISSING_FILE, EXIT_MALFORMED, EXIT_INVARIANT)
+    assert out == ""
+    assert err.startswith("charid: error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert len(err) <= len("charid: error: \n") + cli.ERROR_CHARS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "line", "--freq", "1e308", "--grid", "4"],
+        ["--mode", "torus", "--freq", "1e300", "--grid", "4"],
+        ["--mode", "finite", "--freq", "1e300", "--grid", "4"],
+        ["--mode", "finite", "--freq", "1,1", "--grid", "4,-" + "9" * 4000],
+        ["--mode", "torus", "--freq", "1", "--grid", "4", "--seed", "-" + "9" * 4000],
+        ["--mode", "torus", "--freq", "1", "--grid", "4", "--seed", "9" * 5000],
+        ["--mode", "x" * 5000, "--freq", "1", "--grid", "4"],
+    ],
+)
+def test_generate_error_lines_stay_short(tmp_path, argv):
+    # integers from argv, or made from its floats, were quoted in full: a
+    # 309-digit integer part for --freq 1e308
+    code, out, err = _run_quietly(["generate", *argv, "--output", str(tmp_path / "x.json")])
+    _assert_one_error_line(code, out, err)
+    assert code == EXIT_USAGE
+    assert not re.search(r"\d{21}", err)
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "mode, freq, grid",
+    [
+        ("torus", "1", "3000000000"),
+        ("finite", "1", "99999999999"),
+        ("line", "1", "3000000000"),
+        ("torus", "1,1", "65536,65536"),
+        ("finite", "1,1,1", "1,1,4194305"),
+    ],
+)
+def test_generate_refuses_large_grids_before_allocating(tmp_path, monkeypatch, mode, freq, grid):
+    # these ended in numpy's _ArrayMemoryError, a traceback
+    def unreachable(*args):
+        raise AssertionError("a large grid reached the sample builders")
+
+    monkeypatch.setattr(circle, "root_of_unity_powers", unreachable)
+    monkeypatch.setattr(samples, "_line_values", unreachable)
+    tracemalloc.start()
+    try:
+        code, out, err = _run_quietly(["generate", "--mode", mode, "--freq", freq, "--grid", grid,
+                                       "--output", str(tmp_path / "x.json")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_one_error_line(code, out, err)
+    assert code == EXIT_USAGE
+    assert f"more than {cli.GENERATE_CAP} samples" in err
+    assert peak < 1 << 20
+
+
+def _argv_numbers():
+    """Number-like argv tokens: small, huge, signed, special and broken."""
+    return st.one_of(
+        st.integers(-3, 12).map(str),
+        st.sampled_from(["0", "-0", "1e308", "-1e308", "1e400", "nan", "inf", "-inf",
+                         "3000000000", "99999999999", "9" * 30, "-" + "9" * 30, "9" * 5000,
+                         "0.5", "1.5", "-2.5", "1e-320", "", "x", "1,", ",", "0x10"]),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    )
+
+
+def _argv_lists():
+    return st.lists(_argv_numbers(), min_size=1, max_size=3).map(",".join)
+
+
+def _argv_grids():
+    """Grids of at most 12^3 samples, or ones refused before allocating."""
+    small = st.lists(st.integers(-1, 12), min_size=1, max_size=3)
+    huge = st.tuples(
+        st.lists(st.integers(-1, 12), max_size=2), st.integers(1 << 31, 1 << 70)
+    ).map(lambda parts: parts[0] + [parts[1]])
+    grids = (small | small | huge).map(lambda g: ",".join(map(str, g)))
+    return grids | _argv_lists()
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argv")
+    for name, args in {
+        "t8.json": ["torus", "1", "8"],
+        "l8.json": ["line", "1.5", "8"],
+        "z8.json": ["finite", "3", "8"],
+        "t8.csv": ["torus", "1", "8"],
+    }.items():
+        mode, freq, grid = args
+        assert main(["generate", "--mode", mode, "--freq", freq, "--grid", grid,
+                     "--output", str(d / name)]) == 0
+    return d
+
+
+@st.composite
+def _hostile_argv(draw, d):
+    """An analyze or generate argv of mostly sound values and some hostile
+    ones; flags may be missing, repeated, written with ``=`` or not, and a
+    stray token may be added."""
+    def mostly(good, hostile):
+        return st.one_of(good, good, hostile)
+
+    modes = mostly(st.sampled_from(["torus", "line", "finite"]), st.sampled_from(["nope", ""]))
+    if draw(st.booleans()):
+        inputs = mostly(
+            st.sampled_from(["t8.json", "l8.json", "z8.json", "t8.csv"]),
+            st.sampled_from(["absent.json", "", ".", "no/dir.json"]),
+        )
+        required = {"--input": inputs.map(lambda n: str(d / n)), "--mode": modes}
+        optional = {
+            "--tau-exact": mostly(st.sampled_from(["1e-9", "1e-6", "0.5"]), _argv_numbers()),
+            "--floor": mostly(st.sampled_from(["0.9", "0.5", "1"]), _argv_numbers()),
+            "--trials": mostly(st.integers(1, 300).map(str), _argv_numbers()),
+            "--seed": mostly(st.integers(0, 2**70).map(str), _argv_numbers()),
+            "--format": st.sampled_from(["json", "text", "yaml"]),
+            "--endpoint": mostly(st.sampled_from(["0.5,0.8660254037844386", "1,0"]),
+                                 _argv_lists()),
+        }
+        argv = ["analyze"]
+    else:
+        required = {
+            "--mode": modes,
+            "--freq": mostly(st.lists(st.integers(-3, 3).map(str), min_size=1, max_size=3)
+                             .map(",".join), _argv_lists()),
+            "--grid": _argv_grids(),
+            "--output": mostly(st.sampled_from(["out.json", "out.csv"]),
+                               st.sampled_from(["no/dir.json", "", "."]))
+                        .map(lambda n: str(d / n)),
+        }
+        optional = {
+            "--noise": mostly(st.sampled_from(["0", "0.01", "0.5"]), _argv_numbers()),
+            "--seed": mostly(st.integers(0, 2**70).map(str), _argv_numbers()),
+        }
+        argv = ["generate"]
+    chosen = [f for f in required if draw(st.integers(0, 9))]
+    chosen += draw(st.lists(st.sampled_from(sorted(optional)), max_size=3))
+    for flag in draw(st.permutations(chosen)):
+        value = draw({**required, **optional}[flag])
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if not draw(st.integers(0, 4)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-x", "--", "extra"])))
+    return argv
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=300)
+def test_hostile_argv_keeps_the_exit_code_contract(argv_files, data):
+    argv = data.draw(_hostile_argv(argv_files))
+    code, out, err = _run_quietly(argv)
+    event(f"exit {code}")
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        _assert_one_error_line(code, out, err)

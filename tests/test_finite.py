@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from charid import finite
@@ -27,6 +27,7 @@ from charid.finite import (
     is_homomorphism_exhaustive,
     to_symmetric_freq,
 )
+from charid.circle import UNIT_TOL, unit_deviation
 from charid.samples import sample_character_torus
 
 from oracles import exhaustive_hom_defect, oracle_hom_residual
@@ -258,6 +259,234 @@ def test_result_does_not_depend_on_worker_count(monkeypatch, orders, kind):
                     assert split > 1.5e-6  # |exp(2e-6 i) - 1|, not another pair's 1e-6
     finally:
         sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("orders", [(5, 2, 9), (3, 13, 5), (2, 184), (363,)])
+def test_full_walk_on_sparse_tables_does_not_depend_on_worker_count(monkeypatch, orders):
+    # the perturbed tables above are answered by the certificate wherever
+    # they are more than one block; here the threaded walk itself takes them,
+    # its one worst pair (e, e) in the last worker's share
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for block_pairs in (7, 40, 1000, finite.BLOCK_PAIRS):
+            monkeypatch.setattr(finite, "BLOCK_PAIRS", block_pairs)
+            for workers in (1, 2, 3, finite.MAX_WORKERS):
+                at = _in_last_share(orders, workers)
+                vals = _split_table(orders, "perturbed", at)
+                results = []
+                for count in (1, workers):
+                    monkeypatch.setattr(finite, "_worker_count", lambda: count)
+                    results.append(finite._worst_defect_all_pairs(vals))
+                serial, split = results
+                assert np.float64(split).tobytes() == np.float64(serial).tobytes()
+                assert split == pytest.approx(_oracle_defect(orders, "perturbed", at), abs=1e-15)
+                assert split > 1.5e-6
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def _count_full_walks(monkeypatch) -> list:
+    """Record every table the full all-pairs walk is run on."""
+    calls = []
+    real = finite._worst_defect_all_pairs
+
+    def counted(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(finite, "_worst_defect_all_pairs", counted)
+    return calls
+
+
+def _same_bits(x: float, y: float) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def _corrupt(g, k, jitter, corruptions, seed) -> CharacterTable:
+    """chi_k turned by a uniform phase in [-jitter, jitter] everywhere, then
+    at each (flat index, kind, size) of ``corruptions`` negated, turned by a
+    random phase or nudged by +-size radians."""
+    rng = np.random.default_rng(seed)
+    vals = character_table(g, k).values * np.exp(1j * rng.uniform(-jitter, jitter, g.orders))
+    for at, kind, size in corruptions:
+        if kind == "negate":
+            vals.flat[at] *= -1
+        elif kind == "phase":
+            vals.flat[at] *= np.exp(1j * rng.uniform(0, 2 * np.pi))
+        else:
+            vals.flat[at] *= np.exp(1j * rng.choice([-1, 1]) * size)
+    return CharacterTable(g, vals)
+
+
+@st.composite
+def _corrupted_tables(draw):
+    """A character on 363-2,000 elements over 1-3 axes, exact or jittered
+    by up to 1e-10 to 1 radian, with 1-4 entries negated, turned by a random
+    phase or nudged by 1e-3 down to 1e-10 radians."""
+    axes = draw(st.integers(1, 3))
+    orders = []
+    for left in range(axes - 1, -1, -1):
+        rest = math.prod(orders)
+        low = -(-363 // rest) if left == 0 else 1
+        high = 2000 // rest // (2**left)
+        orders.append(draw(st.integers(min(low, high), high)))
+    g = FiniteGroupSpec(tuple(draw(st.permutations(orders))))
+    assume(363 <= g.size <= 2000)
+    k = tuple(draw(st.integers(0, n - 1)) for n in g.orders)
+    jitter = draw(st.just(0.0) | st.integers(-10, 0).map(lambda j: 10.0**j))
+    corruptions = draw(st.lists(
+        st.tuples(
+            st.integers(0, g.size - 1),
+            st.sampled_from(["negate", "phase", "nudge"]),
+            st.integers(3, 10).map(lambda j: 10.0**-j),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    return _corrupt(g, k, jitter, corruptions, draw(st.integers(0, 2**32 - 1)))
+
+
+@given(_corrupted_tables())
+@example(_corrupt(FiniteGroupSpec((363,)), (5,), 0.0, [(7, "negate", 0.0)], 0))
+@example(_corrupt(FiniteGroupSpec((363,)), (5,), 1e-3, [(7, "nudge", 1e-3)], 0))
+@settings(deadline=None, max_examples=40)
+def test_certificate_is_the_full_walk(t):
+    # certified or not, the check's result is the threaded walk's bit for
+    # bit.  A jitter not small next to the corruptions, as in the second
+    # example, leaves no certificate, and the walk runs
+    ok, worst = is_homomorphism_exhaustive(t)
+    certified = finite._certified_worst(t.values) is not None
+    event("certified" if certified else "full walk")
+    assert _same_bits(worst, finite._worst_defect_all_pairs(t.values))
+    assert ok == (worst <= finite.HOM_TOL)
+    if t.group.size <= 600:  # the loop oracle takes 8 s on 2,000 elements
+        assert worst == pytest.approx(exhaustive_hom_defect(t.values, t.group.orders), abs=1e-15)
+
+
+# The planted tables are chi_(3,7) on Z_16 x Z_25, whose longest axis, the
+# second, the walk takes first, with a few entries changed.  Entry 0 turned
+# by PHI ranks first, and the rest are far enough behind that B is {0}.
+# Pairs through 0 have defect |t(b)| PHI, so one entry q of modulus
+# 1 + 9e-10 makes (0, q) the worst pair.  With a and -a turned by -PSI
+# instead, the worst pair is (a, -a), about PHI + 2 PSI, through 0 as their
+# sum.  Each table's worst pair is evaluated in one role only, the first
+# three at the far end of the half window, (b_L - a_L) mod 25 = 12, and
+# the last at a_L = 10, where the sum role needs 2 a_L, not a_L.  Each
+# worst pair's t(a) t(b) rounds differently from t(b) t(a)
+PHI, PSI = 1e-2, 1e-3
+PLANTED_ROLES = {
+    "t(a), a = 0": ({(0, 0): np.exp(1j * PHI), (7, 12): 1 + 9e-10}, ((0, 0), (7, 12))),
+    "t(b), b = 0": ({(0, 0): np.exp(1j * PHI), (3, 13): 1 + 9e-10}, ((3, 13), (0, 0))),
+    "t(a+b), a+b = 0, a_L = 19": (
+        {(0, 0): np.exp(1j * PHI), (1, 19): np.exp(-1j * PSI), (15, 6): np.exp(-1j * PSI)},
+        ((1, 19), (15, 6)),
+    ),
+    "t(a+b), a+b = 0, a_L = 10": (
+        {(0, 0): np.exp(1j * PHI), (1, 10): np.exp(-1j * PSI), (15, 15): np.exp(-1j * PSI)},
+        ((1, 10), (15, 15)),
+    ),
+}
+
+
+def _planted(changes) -> CharacterTable:
+    g = FiniteGroupSpec((16, 25))
+    vals = character_table(g, (3, 7)).values.copy()
+    for at, factor in changes.items():
+        vals[at] *= factor
+    return CharacterTable(g, vals)
+
+
+@pytest.mark.parametrize("role", PLANTED_ROLES)
+def test_certificate_evaluates_every_role_in_the_walks_order(monkeypatch, role):
+    changes, (a, b) = PLANTED_ROLES[role]
+    t = _planted(changes)
+    walk = finite._worst_defect_all_pairs(t.values)
+    ab = tuple((i + j) % n for i, j, n in zip(a, b, (16, 25)))
+    t_a, t_b, t_ab = (t.values[at].reshape(1) for at in (a, b, ab))
+    assert math.sqrt(finite._block_worst(t_a, t_b, t_ab)) == walk
+    assert math.sqrt(finite._block_worst(t_b, t_a, t_ab)) != walk
+    calls = _count_full_walks(monkeypatch)
+    _, worst = is_homomorphism_exhaustive(t)
+    assert not calls  # certified
+    assert _same_bits(worst, walk)
+
+
+@pytest.mark.parametrize("negated", [1, 2, 3, finite.CERTIFIED_ENTRIES, finite.CERTIFIED_ENTRIES + 1])
+def test_certificate_takes_as_many_entries_as_it_needs(monkeypatch, negated):
+    # B grows to take every negated entry, up to CERTIFIED_ENTRIES of them
+    vals = character_table(FiniteGroupSpec((400,)), (7,)).values.copy()
+    vals[np.random.default_rng(negated).choice(400, negated, replace=False)] *= -1
+    t = CharacterTable(FiniteGroupSpec((400,)), vals)
+    walk = finite._worst_defect_all_pairs(t.values)
+    calls = _count_full_walks(monkeypatch)
+    _, worst = is_homomorphism_exhaustive(t)
+    assert len(calls) == (negated > finite.CERTIFIED_ENTRIES)
+    assert _same_bits(worst, walk)
+
+
+def test_certificate_declines_within_its_margin(monkeypatch):
+    # chi_(3,7) rounds to defects up to 2.4e-15 on pairs whose entries all
+    # have e below 3e-16: the 1e-12 margin, not (2 + U) tau, covers them.
+    # Entry 0 turned by 1e-15 ranks first; without the margin its pairs
+    # alone, whose worst is 2.2e-15, would be certified
+    t = _planted({(0, 0): np.exp(1e-15j)})
+    walk = finite._worst_defect_all_pairs(t.values)
+    calls = _count_full_walks(monkeypatch)
+    _, worst = is_homomorphism_exhaustive(t)
+    assert len(calls) == 1
+    assert _same_bits(worst, walk)
+    assert worst > 2.3e-15
+
+
+def test_certificate_declines_where_the_bound_is_tight(monkeypatch):
+    # 64 entries with e = 0.1 keep tau at 0.1 for every prefix of 64, and
+    # one entry of modulus 1 + 9e-10, inside UNIT_TOL, makes U that: the
+    # bound is 0.3 + 9e-11 + 1e-12.  Entry 0, ranked first, has e 4.5e-11
+    # above 3 tau: below the bound, above it with U taken as 1
+    u = 1 + 9e-10
+    changes = {divmod(at, 25): np.exp(2j * math.asin(0.05)) for at in range(100, 164)}
+    changes[15, 24] = u
+    chi = character_table(FiniteGroupSpec((16, 25)), (3, 7)).values
+    tau = float(np.abs(_planted(changes).values * np.conj(chi) - 1).max())
+    changes[0, 0] = np.exp(2j * math.asin((3 * tau + 4.5e-11) / 2))
+    t = _planted(changes)
+    e0 = abs(t.values[0, 0] - 1)
+    assert 3 * tau + 1e-12 < e0 < (2 + u) * tau + 1e-12
+    assert np.abs(t.values).max() == pytest.approx(u, abs=1e-15)
+    assert unit_deviation(t.values).max() <= UNIT_TOL
+    calls = _count_full_walks(monkeypatch)
+    _, worst = is_homomorphism_exhaustive(t)
+    assert len(calls) == 1
+    assert _same_bits(worst, finite._worst_defect_all_pairs(t.values))
+
+
+@pytest.mark.parametrize(
+    "kind", ["nan", "inf", "modulus-2", "character", "all-negated", "random"]
+)
+def test_certificate_falls_back_to_the_full_walk(monkeypatch, kind):
+    # non-finite entries and entries off the circle leave U unbounded; a
+    # character, its negation and random phases have no few entries far
+    # from the DFT's character
+    g = FiniteGroupSpec((20, 30))
+    vals = character_table(g, (3, 7)).values.copy()
+    if kind == "nan":
+        vals.flat[77] = complex(math.nan, 0.0)
+    elif kind == "inf":
+        vals.flat[77] = complex(math.inf, 0.0)
+    elif kind == "modulus-2":
+        vals.flat[77] *= 2
+    elif kind == "all-negated":
+        vals = -vals
+    elif kind == "random":
+        vals = np.exp(1j * np.random.default_rng(5).uniform(0, 2 * np.pi, g.orders))
+    t = CharacterTable(g, vals)
+    calls = _count_full_walks(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        _, worst = is_homomorphism_exhaustive(t)
+        direct = finite._worst_defect_all_pairs(t.values)
+    assert len(calls) == 2  # the check's walk and the direct one
+    assert _same_bits(worst, direct)
 
 
 @pytest.mark.parametrize("failing", [1, 2])
