@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from .circle import UNIT_TOL, unit_deviation
 from .finite import (
     CharacterTable,
@@ -504,6 +505,7 @@ def _parse_endpoint(text: str | None) -> complex | None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="charid", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"charid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     an = sub.add_parser("analyze", help="classify a samples file")

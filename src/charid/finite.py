@@ -25,13 +25,13 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .circle import UNIT_TOL, character_values, root_of_unity_powers, unit_deviation
 from .fourier import DOMINANCE_FLOOR, _dft
-from .samples import IntVector, _as_vector, _freeze, _probe_pairs, _sampled_defect
+from .samples import IntVector, _as_int, _as_vector, _freeze, _probe_pairs, _sampled_defect
 
 #: Largest group size enumerate_characters accepts.  The |G| tables hold
 #: |G|^2 complex entries, 256 MiB at the cap.
@@ -51,7 +51,8 @@ SAMPLED_PAIRS = 1 << 20
 #: of 1 MiB stay resident in a core's cache: on a 2 MiB-L2 Xeon, Z_16384
 #: checks in half the time it takes with 2^20-pair blocks, and two workers
 #: sharing 2^16 pairs between them gain only x1.2-1.4 over one worker where
-#: 2^16 pairs each gain x1.5-1.75.
+#: 2^16 pairs each gain x1.5-1.75.  The sampled check gathers its pairs in
+#: blocks of the same size (see _sampled_worst).
 BLOCK_PAIRS = 1 << 16
 
 #: Most threads one all-pairs check runs on.  Each holds a block of up to
@@ -372,6 +373,38 @@ def _certified_worst(values: np.ndarray) -> float | None:
     return None
 
 
+@lru_cache(maxsize=2)
+def _sampled_pairs(
+    orders: tuple[int, ...], trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sampled check's pairs, _probe_pairs(orders, trials, seed), as
+    int32 indices where the group has at most 2^30 elements, so that no
+    index sum overflows, and int64 ones otherwise: 12 MB for
+    SAMPLED_PAIRS + 1 pairs in int32.
+
+    They depend on these three only, so each key is drawn once; two entries
+    serve a caller that alternates between two large groups or seeds, and a
+    third key evicts the oldest.  The arrays are read-only and lru_cache is
+    thread-safe, so concurrent callers may share them.
+    """
+    dtype = np.int32 if math.prod(orders) <= 1 << 30 else np.int64
+    return _probe_pairs(orders, trials, seed, dtype)
+
+
+def _sampled_worst(values: np.ndarray, pairs: tuple[np.ndarray, ...]) -> float:
+    """_sampled_defect(values, pairs), bit for bit, gathered BLOCK_PAIRS
+    pairs at a time: 1 MiB of values per operand, where all of them at once
+    would be 16 MiB each for SAMPLED_PAIRS pairs."""
+    worst = 0.0
+    for lo in range(0, pairs[0].size, BLOCK_PAIRS):
+        found = _sampled_defect(values, tuple(p[lo : lo + BLOCK_PAIRS] for p in pairs))
+        # max() would keep worst over a NaN; a NaN anywhere is the answer
+        if math.isnan(found):
+            return math.nan
+        worst = max(worst, found)
+    return worst
+
+
 def is_homomorphism_exhaustive(t: CharacterTable, seed: int = 0) -> tuple[bool, float]:
     """Verify t(a+b) = t(a) t(b), returning (passes, worst defect); it passes
     when the worst defect is at most HOM_TOL.
@@ -380,15 +413,20 @@ def is_homomorphism_exhaustive(t: CharacterTable, seed: int = 0) -> tuple[bool, 
     certified unchecked (see _certified_worst), with the same result;
     beyond that, SAMPLED_PAIRS pairs drawn from ``seed`` (always including
     (0, 0)) bound the cost, and the result is explicitly a sampled verdict.
+    ``seed`` must be an integer >= 0 (ValueError otherwise).
+
+    The sampled pairs are drawn once per (orders, seed) and kept for the
+    two most recent keys (see _sampled_pairs), at 12 MB each; a check
+    gathers them in blocks of BLOCK_PAIRS pairs, 1 MiB of values per
+    operand, so a check whose pairs are kept allocates about 3 MB.
     """
+    seed = _as_int(seed, "seed", 0)
     if t.group.size <= ALL_PAIRS_CAP:
         worst = _certified_worst(t.values)
         if worst is None:
             worst = _worst_defect_all_pairs(t.values)
     else:
-        # the torus check's draw, not its memo: 2^20 pairs are 24 MB of indices
-        pairs = _probe_pairs(t.group.orders, SAMPLED_PAIRS, seed)
-        worst = _sampled_defect(t.values, pairs)
+        worst = _sampled_worst(t.values, _sampled_pairs(t.group.orders, SAMPLED_PAIRS, seed))
     return worst <= HOM_TOL, worst
 
 

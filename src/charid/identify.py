@@ -34,7 +34,7 @@ import numpy as np
 from .circle import TWO_PI, div_arrays, principal_angles
 from .fourier import DOMINANCE_FLOOR, _dominates, _peaks, spectrum
 from .samples import LineSamples, TorusSamples, _adopt, _line_values
-from .samples import _probe_pairs, _sampled_defect
+from .samples import _as_int, _probe_pairs, _sampled_defect
 
 # Not called here: the torus path shares one magnitude pass between peaks and
 # dominance, and the line path one formula with sample_character_line.  The
@@ -54,11 +54,11 @@ MAX_TRIALS = 1 << 16
 _cached_probe_pairs = lru_cache(maxsize=32)(_probe_pairs)
 
 
-def _check_trials(trials: int, name: str) -> None:
-    if trials < 1:
-        raise ValueError(f"{name} must be >= 1, got {trials}")
+def _as_trials(trials: int, name: str) -> int:
+    trials = _as_int(trials, name, 1)
     if trials > MAX_TRIALS:
         raise ValueError(f"{name} must be <= {MAX_TRIALS}, got {trials}")
+    return trials
 
 
 class Verdict(str, enum.Enum):
@@ -92,9 +92,8 @@ class IdentifyConfig:
                 f"need 0 < tau_exact < floor <= 1, got tau_exact={self.tau_exact} "
                 f"floor={self.floor}"
             )
-        _check_trials(self.hom_trials, "hom_trials")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "hom_trials", _as_trials(self.hom_trials, "hom_trials"))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)
@@ -124,10 +123,12 @@ def homomorphism_residual(s: TorusSamples, trials: int = 256, seed: int = 0) -> 
 
     Pairs are drawn deterministically from the seed, at most MAX_TRIALS of
     them; the pair (0, 0) is always included, making f(0) = 1 necessary for
-    a small residual.
+    a small residual.  ``trials`` and ``seed`` must be integers, at least 1
+    and 0 (ValueError otherwise).
     """
-    _check_trials(trials, "trials")
-    return _sampled_defect(s.values, _cached_probe_pairs(s.grid, trials, seed))
+    trials = _as_trials(trials, "trials")
+    pairs = _cached_probe_pairs(s.grid, trials, _as_int(seed, "seed", 0))
+    return _sampled_defect(s.values, pairs)
 
 
 def _verdict(spike: bool, peak: float, law_holds: bool, cfg: IdentifyConfig) -> Verdict:

@@ -22,6 +22,7 @@ faithful discrete restriction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence, Union
@@ -184,23 +185,42 @@ def shift_samples(s: TorusSamples, offset: IntVector) -> TorusSamples:
     return TorusSamples(s.grid, shifted)
 
 
+def _as_int(value, name: str, low: int) -> int:
+    """``value`` as a Python int of at least ``low``, or ValueError.
+
+    operator.index refuses floats, which numpy's generator refuses with a
+    TypeError but a probe-pair memo would serve under the equal int's key
+    (1.0 == 1): a float seed's outcome would depend on earlier calls.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def _probe_pairs(
-    grid: tuple[int, ...], trials: int, seed: int
+    grid: tuple[int, ...], trials: int, seed: int, dtype=np.intp
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only flat indices (a, b, a (+) b) of the pair (0, 0) followed by
     ``trials`` seeded pairs drawn uniformly from ``grid``, with (+) the exact
-    index addition mod the grid.
+    index addition mod the grid, as arrays of the integer ``dtype``, which
+    must hold the grid's size and twice its largest order.
 
-    The pairs depend on (grid, trials, seed) only, so the torus check can
-    keep them between calls; the same seed gives the same pairs on both the
-    torus and the finite-group paths.
+    The pairs depend on (grid, trials, seed) only, so both checks keep them
+    between calls; the same seed gives the same pairs on both the torus and
+    the finite-group paths, in any ``dtype``.
     """
     rng = np.random.default_rng(seed)
-    orders = np.asarray(grid)
     dim = len(grid)
-    a = rng.integers(0, orders, size=(trials, dim))
-    b = rng.integers(0, orders, size=(trials, dim))
-    zero = np.zeros((1, dim), dtype=a.dtype)
+    # a scalar bound draws what the array bound draws (both take numpy's
+    # 32-bit Lemire route below 2^32), in less than half the time
+    high = grid[0] if len(set(grid)) == 1 else np.asarray(grid)
+    a = rng.integers(0, high, size=(trials, dim), dtype=dtype)
+    b = rng.integers(0, high, size=(trials, dim), dtype=dtype)
+    zero = np.zeros((1, dim), dtype=dtype)
     a = np.concatenate([zero, a])
     b = np.concatenate([zero, b])
     # one axis column at a time: broadcasting the orders over whole (pairs,

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import charid
 from charid import circle, cli, finite, samples
 from charid.cli import (
     EXIT_INVARIANT,
     EXIT_MALFORMED,
     EXIT_MISSING_FILE,
+    EXIT_OK,
     EXIT_USAGE,
     InputError,
     _finite_report,
@@ -546,6 +548,14 @@ def test_multidim_json_roundtrip(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["frequency"] == [3, -2]
     assert rep["verdict"] == "ExactCharacter"
+
+
+def test_version_flag(capsys):
+    assert run_main(capsys, ["--version"]) == (EXIT_OK, f"charid {charid.__version__}\n", "")
+    assert charid.__version__ == "0.1.0"
+    # a subcommand has no --version of its own
+    code, out, err = run_main(capsys, ["analyze", "--version"])
+    assert code == EXIT_USAGE and out == "" and err.count("\n") == 1
 
 
 def test_console_script_entry_point(tmp_path):

@@ -639,6 +639,149 @@ def test_sampled_check_matches_per_axis_gather_bitwise(orders):
         assert worst == oracle_hom_residual(t.values, SAMPLED_PAIRS, seed)
 
 
+@pytest.mark.parametrize("orders", [(ALL_PAIRS_CAP + 1,), (256, 257)])
+@pytest.mark.parametrize("at", [0, SAMPLED_PAIRS])
+@pytest.mark.parametrize("kind", ["worst", "nan"])
+def test_sampled_check_reaches_the_first_and_the_lone_last_block(orders, at, kind):
+    # pair 0 is (0, 0), alone at the head of the first block; pair 2^20 is
+    # alone in the last block of BLOCK_PAIRS.  Each is made the only pair
+    # with the worst defect, or the only one with a NaN defect, so a check
+    # that skipped it would return a smaller number or inf
+    seed = 3
+    g = FiniteGroupSpec(orders)
+    idx = finite._sampled_pairs(orders, SAMPLED_PAIRS, seed)
+    a, b, ab = (int(p[at]) for p in idx)
+    assert len({0, a, b, ab}) == (4 if at else 1)
+    vals = character_table(g, (3,) * len(orders)).values.copy()
+    flat = vals.reshape(-1)
+    if kind == "worst":
+        # |3 - 9| = 6 at (0, 0), or |chi(a + b) - 9 chi(a) chi(b)| = 8 at
+        # (a, b); a pair with one scaled entry has a defect of 2
+        for x in {a, b}:
+            flat[x] *= 3.0
+    elif at == 0:
+        # inf - inf^2 is NaN; inf times an entry with no zero part is inf
+        flat[0] = complex(math.inf, 0.0)
+    else:
+        # 0 * inf is NaN; any other pair through b has an inf defect
+        flat[a], flat[b] = 0.0, complex(math.inf, 0.0)
+    with np.errstate(invalid="ignore"):
+        defects = np.abs(flat[idx[2]] - flat[idx[0]] * flat[idx[1]])
+        others = np.delete(defects, at)
+        if kind == "worst":
+            assert others.max() < defects[at]
+        else:
+            assert math.isnan(defects[at]) and not np.isnan(others).any()
+        ok, worst = is_homomorphism_exhaustive(CharacterTable(g, vals), seed)
+        want = oracle_hom_residual(vals, SAMPLED_PAIRS, seed)
+    assert not ok
+    assert _same_bits(worst, want)
+
+
+def test_sampled_pairs_are_drawn_once_per_group(monkeypatch):
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return real(*args)
+
+    real = finite._probe_pairs
+    monkeypatch.setattr(finite, "_probe_pairs", counted)
+    finite._sampled_pairs.cache_clear()
+    t = character_table(FiniteGroupSpec((ALL_PAIRS_CAP + 1,)), 5)
+    first = is_homomorphism_exhaustive(t, seed=7)
+    assert len(draws) == 1
+    assert is_homomorphism_exhaustive(t, seed=7) == first
+    assert len(draws) == 1
+
+
+def test_sampled_pair_memo_keeps_two_compact_read_only_groups():
+    memo = finite._sampled_pairs
+    memo.cache_clear()
+    groups = [(ALL_PAIRS_CAP + 1,), (256, 257), (ALL_PAIRS_CAP + 3,)]
+    for orders in groups:
+        is_homomorphism_exhaustive(character_table(FiniteGroupSpec(orders), (1,) * len(orders)))
+    assert (memo.cache_info().misses, memo.cache_info().currsize) == (3, 2)
+    for orders in groups[1:]:  # the third group evicted the first
+        for idx in memo(orders, SAMPLED_PAIRS, 0):
+            assert idx.dtype == np.int32 and idx.shape == (SAMPLED_PAIRS + 1,)
+            assert not idx.flags.writeable
+            with pytest.raises(ValueError):
+                idx[0] = 1
+    assert memo.cache_info().misses == 3
+    memo(groups[0], SAMPLED_PAIRS, 0)
+    assert memo.cache_info().misses == 4
+
+
+@pytest.mark.parametrize("n,dtype", [(1 << 30, np.int32), ((1 << 30) + 1, np.int64)])
+def test_sampled_pairs_are_int32_while_index_sums_fit(n, dtype):
+    # a + b on an axis of n reaches 2 n - 2, past int32 above 2^30 elements
+    got = finite._sampled_pairs((n,), 64, 5)
+    want = finite._probe_pairs((n,), 64, 5)
+    for g, w in zip(got, want):
+        assert g.dtype == dtype
+        assert np.array_equal(g, w)
+
+
+def test_threads_sharing_one_sampled_check_agree():
+    # four threads race for the memo's first draw of one key, then share it
+    finite._sampled_pairs.cache_clear()
+    g = FiniteGroupSpec((256, 257))
+    jitter = np.exp(1j * np.linspace(0, 1e-3, g.size)).reshape(g.orders)
+    t = CharacterTable(g, character_table(g, (9, 4)).values * jitter)
+    results = [None] * 4
+    start = threading.Barrier(4)
+
+    def check(i):
+        start.wait()
+        results[i] = is_homomorphism_exhaustive(t, seed=2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=check, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [is_homomorphism_exhaustive(t, seed=2)] * 4
+    assert results[0][1] == oracle_hom_residual(t.values, SAMPLED_PAIRS, 2)
+
+
+@pytest.mark.parametrize("orders", [(ALL_PAIRS_CAP + 1,), (256, 257)])
+def test_sampled_check_memory_is_bounded(orders):
+    # all pairs gathered at once took 72 MiB on either group; now the draw
+    # takes less on a miss, and a kept draw only 1 MiB blocks of values
+    t = character_table(FiniteGroupSpec(orders), (2,) * len(orders))
+    finite._sampled_pairs.cache_clear()
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            assert is_homomorphism_exhaustive(t, seed=1)[0]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 48 << 20
+    assert peaks[1] <= 4_000_000
+
+
+@pytest.mark.parametrize("seed", [1.0, 1.5, "1", None, -1])
+def test_sampled_check_refuses_a_bad_seed_in_either_memo_state(seed):
+    # 1.0 used to raise TypeError on a fresh memo, and after a call with 1
+    # to find that call's pairs
+    t = character_table(FiniteGroupSpec((ALL_PAIRS_CAP + 1,)), 5)
+    finite._sampled_pairs.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="seed"):
+            is_homomorphism_exhaustive(t, seed=seed)
+        is_homomorphism_exhaustive(t, seed=1)
+    assert is_homomorphism_exhaustive(t, seed=np.int64(1)) == is_homomorphism_exhaustive(t, seed=1)
+
+
 @pytest.mark.parametrize(
     "orders,k,at",
     [

@@ -272,6 +272,27 @@ def test_config_validation():
         IdentifyConfig(hom_trials=0)
     with pytest.raises(ValueError, match="seed"):
         IdentifyConfig(seed=-1)
+    for field in ("hom_trials", "seed"):
+        for bad in (1.0, 256.0, "1", None):
+            with pytest.raises(ValueError, match=field):
+                IdentifyConfig(**{field: bad})
+    cfg = IdentifyConfig(hom_trials=np.int32(64), seed=np.uint64(3))
+    assert (type(cfg.hom_trials), type(cfg.seed)) == (int, int)
+    assert cfg == IdentifyConfig(hom_trials=64, seed=3)
+
+
+@pytest.mark.parametrize(
+    "trials,seed,name", [(256, 1.0, "seed"), (256, "1", "seed"), (256.0, 1, "trials")]
+)
+def test_hom_residual_refuses_non_integers_in_either_memo_state(trials, seed, name):
+    # 1.0 == 1 as a memo key: seed 1.0 raised TypeError from numpy's
+    # generator on a fresh memo, and returned seed 1's residual after it
+    s = random_phase_samples((9,), seed=2)
+    identify._cached_probe_pairs.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            homomorphism_residual(s, trials, seed)
+        assert homomorphism_residual(s, 256, 1) == oracle_hom_residual(s.values, 256, 1)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
