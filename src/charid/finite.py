@@ -30,8 +30,9 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .circle import UNIT_TOL, character_values, root_of_unity_powers, unit_deviation
-from .fourier import DOMINANCE_FLOOR, _dft
-from .samples import IntVector, _as_int, _as_vector, _freeze, _probe_pairs, _sampled_defect
+from .fourier import DOMINANCE_FLOOR, _check_floor, _dft
+from .samples import IntVector, _as_int, _as_ints, _as_vector, _freeze
+from .samples import _probe_pairs, _sampled_defect
 
 #: Largest group size enumerate_characters accepts.  The |G| tables hold
 #: |G|^2 complex entries, 256 MiB at the cap.
@@ -76,11 +77,7 @@ class FiniteGroupSpec:
     orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        orders = (
-            (int(self.orders),)
-            if np.isscalar(self.orders)
-            else tuple(int(n) for n in self.orders)
-        )
+        orders = _as_ints(self.orders, "factor orders")
         if len(orders) < 1:
             raise ValueError("group needs at least one factor")
         if any(n < 1 for n in orders):
@@ -179,18 +176,22 @@ def _block_worst(t_a, t_b, t_ab, o=None, s=None) -> float:
     return float(np.add(f[..., 0::2], f[..., 1::2], s).max())
 
 
-def _worst_defect_all_pairs(values: np.ndarray) -> float:
+def _worst_defect_all_pairs(values: np.ndarray, full_window: bool = False) -> float:
     """max |t(a+b) - t(a) t(b)| over every pair of group elements.
 
-    The longest axis is moved first and a = (a0, a') splits off its
+    The first longest axis is moved first and a = (a0, a') splits off its
     component.  The defect is symmetric in (a, b), so it is enough to take
     the b with (b0 - a0) mod N0 in [0, N0//2] and b' free: every unordered
     pair still appears at least once, in about half of the |G|^2 ordered
-    pairs.  Let R(a') be the table rolled by a' on its trailing axes and
-    tripled along axis 0.  For one a, the t(a + b) are (N0//2 + 1) |G|/N0
+    pairs.  With ``full_window`` (b0 - a0) mod N0 takes all of [0, N0)
+    instead, and each ordered pair is taken once: the walk of a table that
+    repeats along its longest axis asks for that (see _all_pairs_worst).
+    Let R(a') be the table rolled by a' on its trailing axes and tripled
+    along axis 0.  For one a, the t(a + b) are (N0//2 + 1) |G|/N0 (or |G|)
     consecutive entries of R(a') from row 2 a0 on, the t(b) as many entries
     of R(0) from row a0 on, and t(a) is entry (a0, 0') of R(a').  So both
-    operands are contiguous runs of about |G|/2 on every group shape.
+    operands are contiguous runs of about |G|/2 (or |G|) on every group
+    shape.
 
     The copies R(a') are made for one box of a' values at a time, at most
     BLOCK_PAIRS pairs' worth (or a single a'); where one copy is more, its
@@ -215,7 +216,7 @@ def _worst_defect_all_pairs(values: np.ndarray) -> float:
         values = np.ascontiguousarray(values.swapaxes(0, longest))
     n0, rest, size = values.shape[0], values.shape[1:], values.size
     m = size // n0
-    run = (n0 // 2 + 1) * m
+    run = (n0 if full_window else n0 // 2 + 1) * m
     base = ext = np.concatenate([values] * 3)  # R(0)
     for ax in range(1, values.ndim):
         ext = np.concatenate([ext] * 2, axis=ax)
@@ -319,17 +320,14 @@ def _certified_worst(values: np.ndarray) -> float | None:
     reaches it, and it is the full walk's result.
 
     The full walk's pairs are those with (b_L - a_L) mod N_L in
-    [0, N_L//2] on its longest axis L.  Tables of one block, whose walk costs
-    as little, and tables with an entry off the unit circle by more than
-    UNIT_TOL (non-finite ones included), whose U is unbounded, give None.
-    chi decides only whether this fires, never the result.
+    [0, N_L//2] on its first longest axis L.  Tables with an entry off the
+    unit circle by more than UNIT_TOL (non-finite ones included), whose U is
+    unbounded, give None.  chi decides only whether this fires, never the
+    result.
     """
     shape = values.shape
     longest = shape.index(max(shape))
     n0, size = shape[longest], values.size
-    m = size // n0
-    if n0 * m * (n0 // 2 + 1) * m <= BLOCK_PAIRS:  # one block
-        return None
     # NaN fails the comparison too
     if not unit_deviation(values).max() <= UNIT_TOL:
         return None
@@ -373,6 +371,78 @@ def _certified_worst(values: np.ndarray) -> float | None:
     return None
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, in increasing order."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _periods(values: np.ndarray) -> tuple[int, ...]:
+    """Each axis's least period: the least p_j, a divisor of N_j, with
+    t(x + p_j e_j) = t(x) bit for bit for every x.
+
+    The periods of axis j that divide N_j are the multiples of p_j, so p_j
+    comes from p = N_j by dividing p by each prime q of N_j for as long as
+    the table repeats with period p / q.  Each test compares the whole
+    table with itself shifted by d = p / q along the axis: entries [d, N_j)
+    against [0, N_j - d), as 64-bit words, so that a NaN equals only the
+    same NaN and -0.0 differs from 0.0.
+    """
+    words = np.ascontiguousarray(values).view(np.uint64).reshape(values.shape + (2,))
+    periods = []
+    for ax, n in enumerate(values.shape):
+        lead, p = (slice(None),) * ax, n
+        for q in _prime_factors(n):
+            while p % q == 0 and np.array_equal(
+                words[lead + (slice(p // q, None),)], words[lead + (slice(n - p // q),)]
+            ):
+                p //= q
+        periods.append(p)
+    return tuple(periods)
+
+
+def _all_pairs_worst(values: np.ndarray) -> float:
+    """_worst_defect_all_pairs(values), bit for bit, from as few pairs as
+    this module can certify.
+
+    A table of one block is walked as it is.  A larger one that repeats
+    along some axis, with least periods p_j (see _periods) not all N_j, has
+    its tile values[:p_1, ..., :p_m] walked instead, as a table on the
+    quotient group.  A pair's defect depends only on the bits of t(a), t(b)
+    and t(a+b), which are the tile's at a, b and a+b reduced mod p, and the
+    walk's max is exact.  Where the walk's axis L keeps its length, it
+    stays the tile's first longest axis, and the half window's pairs map
+    onto the tile's own.  Where L is cut, p_L <= N_L / 2, so the
+    N_L//2 + 1 consecutive offsets of the half window reach every residue
+    mod p_L, and the walk reaches every ordered pair of the quotient: the
+    tile is walked with the full window, which takes each of them once.
+    numpy rounds a product whose operands broadcast to a single element
+    apart from the same product in a longer block, so a constant table's
+    tile is widened to the least prime of N_L along L.  Any other table is
+    offered to the certificate (see _certified_worst) and walked where that
+    declines.
+    """
+    shape = values.shape
+    n0 = max(shape)
+    longest, m = shape.index(n0), values.size // n0
+    if n0 * m * (n0 // 2 + 1) * m <= BLOCK_PAIRS:  # one block
+        return _worst_defect_all_pairs(values)
+    periods = _periods(values)
+    if math.prod(periods) == 1:  # a constant table
+        periods = tuple(_prime_factors(n0)[0] if j == longest else 1 for j in range(len(shape)))
+    if periods != shape:
+        tile = values[tuple(slice(p) for p in periods)]
+        return _worst_defect_all_pairs(tile, full_window=periods[longest] < n0)
+    worst = _certified_worst(values)
+    return _worst_defect_all_pairs(values) if worst is None else worst
+
+
 @lru_cache(maxsize=2)
 def _sampled_pairs(
     orders: tuple[int, ...], trials: int, seed: int
@@ -409,10 +479,12 @@ def is_homomorphism_exhaustive(t: CharacterTable, seed: int = 0) -> tuple[bool, 
     """Verify t(a+b) = t(a) t(b), returning (passes, worst defect); it passes
     when the worst defect is at most HOM_TOL.
 
-    Literally every pair is checked up to ALL_PAIRS_CAP group elements, or
-    certified unchecked (see _certified_worst), with the same result;
-    beyond that, SAMPLED_PAIRS pairs drawn from ``seed`` (always including
-    (0, 0)) bound the cost, and the result is explicitly a sampled verdict.
+    Literally every pair is checked up to ALL_PAIRS_CAP group elements:
+    a table that repeats along an axis is walked on one period, and other
+    pairs are certified unchecked where they can be (see _all_pairs_worst),
+    always with the full walk's result.  Beyond that, SAMPLED_PAIRS pairs
+    drawn from ``seed`` (always including (0, 0)) bound the cost, and the
+    result is explicitly a sampled verdict.
     ``seed`` must be an integer >= 0 (ValueError otherwise).
 
     The sampled pairs are drawn once per (orders, seed) and kept for the
@@ -422,9 +494,7 @@ def is_homomorphism_exhaustive(t: CharacterTable, seed: int = 0) -> tuple[bool, 
     """
     seed = _as_int(seed, "seed", 0)
     if t.group.size <= ALL_PAIRS_CAP:
-        worst = _certified_worst(t.values)
-        if worst is None:
-            worst = _worst_defect_all_pairs(t.values)
+        worst = _all_pairs_worst(t.values)
     else:
         worst = _sampled_worst(t.values, _sampled_pairs(t.group.orders, SAMPLED_PAIRS, seed))
     return worst <= HOM_TOL, worst
@@ -439,7 +509,9 @@ def identify_finite(
     discrete orthogonality.  For non-characters the argmax bin is returned
     only when its magnitude reaches ``floor``; ties take the lexicographically
     smallest k.  A peak that is not finite (a NaN or inf entry) gives None.
+    ``floor`` must be in (0, 1] (ValueError otherwise).
     """
+    _check_floor(floor)
     mags = np.abs(_dft(t.values)) / t.group.size
     flat = int(np.argmax(mags))
     peak = float(mags.flat[flat])
@@ -458,7 +530,9 @@ def identify_finite_brute(
 
     The independent route for :func:`identify_finite`: no fast transform,
     just |<t, chi_k>| / |G| maximized over the full character list.
+    ``floor`` must be in (0, 1] (ValueError otherwise).
     """
+    _check_floor(floor)
     if characters is None:
         characters = enumerate_characters(t.group)
     flat = t.values.ravel()

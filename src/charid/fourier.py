@@ -157,11 +157,16 @@ def dominant_frequency(
     near-ties impossible above floor 1/sqrt(2), so the rule only matters for
     degenerate sub-floor inputs, where determinism is what counts.
     """
-    if not 0.0 < floor <= 1.0:
-        raise ValueError(f"floor must be in (0, 1], got {floor}")
+    _check_floor(floor)
     mag = np.abs(sp.coeffs).ravel()
     ((k, peak),) = _peaks(mag, sp.grid, 1)
     return (k, peak) if _dominates(mag, peak, floor) else None
+
+
+def _check_floor(floor: float) -> None:
+    """ValueError unless the dominance floor is in (0, 1] (NaN is not)."""
+    if not 0.0 < floor <= 1.0:
+        raise ValueError(f"floor must be in (0, 1], got {floor}")
 
 
 def _dominates(mag: np.ndarray, peak: float, floor: float) -> bool:

@@ -22,6 +22,7 @@ faithful discrete restriction.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -35,8 +36,27 @@ IntVector = Union[int, Sequence[int]]
 RealVector = Union[float, Sequence[float]]
 
 
+def _integral(x, name: str) -> int:
+    """``x`` as a Python int where it is an integral number of any numeric
+    type (4, np.int8(4), 4.0, np.float64(4.0)), or ValueError: int() would
+    truncate 2.5 to 2, read the string "4" as 4 and raise OverflowError on
+    inf."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        pass
+    if isinstance(x, numbers.Real) and math.isfinite(x) and x == math.floor(x):
+        return int(x)
+    raise ValueError(f"{name} must be integers, got {x!r}")
+
+
+def _as_ints(v, name: str) -> tuple[int, ...]:
+    """A scalar or sequence ``v`` of integral numbers as a tuple of ints."""
+    return tuple(_integral(x, name) for x in ((v,) if np.isscalar(v) else v))
+
+
 def _as_grid(grid: IntVector) -> tuple[int, ...]:
-    g = (int(grid),) if np.isscalar(grid) else tuple(int(n) for n in grid)
+    g = _as_ints(grid, "grid counts")
     if len(g) < 1:
         raise ValueError("grid needs at least one axis")
     if any(n < 2 for n in g):
@@ -45,11 +65,12 @@ def _as_grid(grid: IntVector) -> tuple[int, ...]:
 
 
 def _as_vector(v, dim: int, name: str, kind=int) -> tuple:
-    """A scalar or sequence ``v`` as a tuple of ``dim`` values of ``kind``."""
-    t = (v,) if np.isscalar(v) else tuple(v)
+    """A scalar or sequence ``v`` as a tuple of ``dim`` values of ``kind``:
+    int, refusing non-integral entries (see _integral), or float."""
+    t = _as_ints(v, name) if kind is int else tuple(map(kind, (v,) if np.isscalar(v) else v))
     if len(t) != dim:
         raise ValueError(f"{name} has {len(t)} entries for a {dim}-axis grid")
-    return tuple(kind(x) for x in t)
+    return t
 
 
 def _freeze(obj, field: str, shape: tuple[int, ...], message: str) -> None:

@@ -69,6 +69,18 @@ def exhaustive_hom_defect(values: np.ndarray, grid: tuple[int, ...]) -> float:
     return worst
 
 
+def least_periods(values: np.ndarray) -> tuple[int, ...]:
+    """Each axis's least period: the least divisor d of N_j for which the
+    table rolled by d along axis j has the table's bytes, trying every
+    divisor in turn."""
+    own = np.ascontiguousarray(values).tobytes()
+    return tuple(
+        next(d for d in range(1, n + 1) if n % d == 0
+             and np.roll(values, d, ax).tobytes() == own)
+        for ax, n in enumerate(values.shape)
+    )
+
+
 def outer_character(k, grid: tuple[int, ...]) -> np.ndarray:
     """exp(2*pi*i k.m/N) over the grid as the per-axis outer product
     ``reduce(np.multiply.outer, rows)`` spelled out, its rows the library's

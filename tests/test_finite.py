@@ -1,11 +1,13 @@
 """Finite abelian groups: enumeration, exhaustive verification, dual identification."""
 
 import functools
+import itertools
 import math
 import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from charid.finite import (
 from charid.circle import UNIT_TOL, unit_deviation
 from charid.samples import sample_character_torus
 
-from oracles import exhaustive_hom_defect, oracle_hom_residual
+from oracles import exhaustive_hom_defect, least_periods, oracle_hom_residual
 
 
 def test_group_spec_validation():
@@ -39,6 +41,32 @@ def test_group_spec_validation():
     with pytest.raises(ValueError, match="factor"):
         FiniteGroupSpec(())
     assert FiniteGroupSpec((4, 5)).size == 20
+
+
+@pytest.mark.parametrize(
+    "orders", [2.5, "4", np.float64(3.5), math.inf, -math.inf, math.nan, (4, 2.5)]
+)
+def test_group_spec_refuses_orders_that_are_not_integral(orders):
+    # int() truncated 2.5 and 3.5, read "4" as 4 and raised OverflowError on inf
+    with pytest.raises(ValueError, match="integers"):
+        FiniteGroupSpec(orders)
+
+
+@pytest.mark.parametrize(
+    "order", [4, 4.0, np.float64(4.0), np.int8(4), np.uint64(4), Fraction(8, 2)]
+)
+def test_group_spec_takes_integral_numbers_of_any_type(order):
+    orders = FiniteGroupSpec(order).orders
+    assert orders == (4,) and type(orders[0]) is int
+    assert FiniteGroupSpec([order, 3]).orders == (4, 3)
+
+
+def test_character_index_must_be_integral():
+    g = FiniteGroupSpec((4,))
+    with pytest.raises(ValueError, match="integers"):
+        character_table(g, 1.5)  # was chi_1
+    chi_1 = character_table(g, 1).values.tobytes()
+    assert character_table(g, np.float64(1.0)).values.tobytes() == chi_1
 
 
 def test_character_table_shape_checked():
@@ -291,9 +319,9 @@ def _count_full_walks(monkeypatch) -> list:
     calls = []
     real = finite._worst_defect_all_pairs
 
-    def counted(values):
+    def counted(values, **kwargs):
         calls.append(values)
-        return real(values)
+        return real(values, **kwargs)
 
     monkeypatch.setattr(finite, "_worst_defect_all_pairs", counted)
     return calls
@@ -320,10 +348,9 @@ def _corrupt(g, k, jitter, corruptions, seed) -> CharacterTable:
 
 
 @st.composite
-def _corrupted_tables(draw):
-    """A character on 363-2,000 elements over 1-3 axes, exact or jittered
-    by up to 1e-10 to 1 radian, with 1-4 entries negated, turned by a random
-    phase or nudged by 1e-3 down to 1e-10 radians."""
+def _multi_block_groups(draw):
+    """A group of 363-2,000 elements over 1-3 axes, more than one all-pairs
+    block at the default BLOCK_PAIRS."""
     axes = draw(st.integers(1, 3))
     orders = []
     for left in range(axes - 1, -1, -1):
@@ -333,6 +360,15 @@ def _corrupted_tables(draw):
         orders.append(draw(st.integers(min(low, high), high)))
     g = FiniteGroupSpec(tuple(draw(st.permutations(orders))))
     assume(363 <= g.size <= 2000)
+    return g
+
+
+@st.composite
+def _corrupted_tables(draw):
+    """A character on 363-2,000 elements over 1-3 axes, exact or jittered
+    by up to 1e-10 to 1 radian, with 1-4 entries negated, turned by a random
+    phase or nudged by 1e-3 down to 1e-10 radians."""
+    g = draw(_multi_block_groups())
     k = tuple(draw(st.integers(0, n - 1)) for n in g.orders)
     jitter = draw(st.just(0.0) | st.integers(-10, 0).map(lambda j: 10.0**j))
     corruptions = draw(st.lists(
@@ -489,6 +525,226 @@ def test_certificate_falls_back_to_the_full_walk(monkeypatch, kind):
     assert _same_bits(worst, direct)
 
 
+def _tiled(orders, tile_orders, kind, special=None, change=None, seed=0) -> CharacterTable:
+    """A table on ``orders`` repeating a tile on ``tile_orders``, each
+    dividing its axis: a character of the tile's group, exact, jittered by
+    up to 0.1 radian, or random phases.  ``special`` (NaN or inf), if
+    given, replaces one tile entry, and the entry at flat index ``change``,
+    if given, is conjugated in its period alone, so that the table does not
+    repeat where that changes its imaginary part, be it only the sign of a
+    zero."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        tile = np.exp(1j * rng.uniform(0, 2 * np.pi, tile_orders))
+    else:
+        k = tuple(int(rng.integers(0, n)) for n in tile_orders)
+        tile = character_table(FiniteGroupSpec(tile_orders), k).values.copy()
+        if kind == "jittered":
+            tile *= np.exp(1j * rng.uniform(-0.1, 0.1, tile_orders))
+    if special is not None:
+        tile.flat[rng.integers(tile.size)] = special
+    vals = np.tile(tile, tuple(n // p for n, p in zip(orders, tile_orders)))
+    if change is not None:
+        vals.flat[change] = np.conj(vals.flat[change])
+    return CharacterTable(FiniteGroupSpec(orders), vals)
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def _tiled_tables(draw):
+    """A multi-block table (see _multi_block_groups) repeating a tile whose
+    size on each axis is any divisor of its order, or in half the draws
+    the whole first longest axis and proper divisors of the others where
+    they have any; one entry is changed in a quarter of them (see _tiled)."""
+    g = draw(_multi_block_groups())
+    longest = g.orders.index(max(g.orders))
+    keep = draw(st.booleans())
+    tile = tuple(
+        n if keep and j == longest
+        else draw(st.sampled_from(_divisors(n)[:-1] if keep and n > 1 else _divisors(n)))
+        for j, n in enumerate(g.orders)
+    )
+    change = draw(st.integers(0, g.size - 1)) if draw(st.integers(0, 3)) == 0 else None
+    return _tiled(
+        g.orders,
+        tile,
+        draw(st.sampled_from(["exact", "jittered", "random"])),
+        draw(st.sampled_from([None, None, None, complex(math.nan, 0.0), complex(math.inf, 0.0)])),
+        change,
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _check_one_period_walk(t: CharacterTable) -> tuple[tuple[int, ...], float]:
+    """The check's result is the forced walk's of the whole table, bit for
+    bit, and the periods found are the least ones; returns both."""
+    shape = t.values.shape
+    periods = finite._periods(t.values)
+    assert periods == least_periods(t.values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ok, worst = is_homomorphism_exhaustive(t)
+        walk = finite._worst_defect_all_pairs(t.values)
+    assert _same_bits(worst, walk)
+    assert ok == (worst <= finite.HOM_TOL)
+    return periods, worst
+
+
+@given(_tiled_tables())
+@example(_tiled((20, 20), (10, 20), "random"))  # a tie, L cut: the tile's longest is axis 1
+@example(_tiled((20, 20), (20, 4), "jittered"))  # a tie, L kept
+@example(_tiled((1, 400), (1, 80), "exact"))  # an order-1 axis
+@example(_tiled((400, 1), (200, 1), "exact", change=399))  # one entry changed
+@example(_tiled((2, 191), (1, 191), "random"))  # prime axes, L kept
+@example(_tiled((3, 131), (3, 1), "exact", complex(math.nan, 0.0)))  # prime axes, L cut
+@example(_tiled((6, 10, 12), (3, 5, 4), "jittered", complex(math.inf, 0.0)))
+@settings(deadline=None, max_examples=40)
+def test_one_period_walk_is_the_full_walk(t):
+    (periods, worst), shape = _check_one_period_walk(t), t.values.shape
+    longest = shape.index(max(shape))
+    if periods == shape:
+        event("does not repeat")
+    else:
+        event("L cut" if periods[longest] < shape[longest] else "L kept")
+    # the loop oracle takes 8 s on 2,000 elements, and Python's max skips NaN
+    if t.group.size <= 600 and np.isfinite(t.values).all():
+        assert worst == pytest.approx(exhaustive_hom_defect(t.values, shape), abs=1e-15)
+
+
+@pytest.mark.parametrize("orders", [(720,), (24, 24), (2, 2, 180)])
+def test_every_tile_size_is_found_and_walked(monkeypatch, orders):
+    # every divisor of every axis as the tile size; with the table's last
+    # entry changed, its repeats hold everywhere but there
+    calls = _count_full_walks(monkeypatch)
+    for seed, tile in enumerate(itertools.product(*map(_divisors, orders))):
+        for kind, change in (("exact", None), ("random", None), ("exact", -1)):
+            calls.clear()
+            periods, _ = _check_one_period_walk(_tiled(orders, tile, kind, None, change, seed))
+            if math.prod(periods) == 1:  # widened on the first longest axis
+                longest = orders.index(max(orders))
+                periods = tuple(
+                    _divisors(n)[1] if j == longest else 1 for j, n in enumerate(orders)
+                )
+            if periods != orders:  # the check walks the tile, then the test the table
+                assert [c.shape for c in calls] == [periods, orders]
+
+
+@pytest.mark.parametrize("orders", [(363,), (2, 2, 180), (367,), (2, 367)])
+def test_constant_tables_are_walked_on_more_than_one_element(monkeypatch, orders):
+    # value * value rounds one way where its operands broadcast to one element,
+    # as they would in the walk of a one-element tile, and another way in
+    # every longer block (numpy 2.4).  The tile is widened to the least
+    # prime of the longest axis, and where that is the whole axis, on a
+    # cyclic group of prime order, the whole table is walked
+    value = complex(0.9953287307855897, -0.09654386398289214)
+    t = CharacterTable(FiniteGroupSpec(orders), np.full(orders, value))
+    walk = finite._worst_defect_all_pairs(t.values)
+    calls = _count_full_walks(monkeypatch)
+    _, worst = is_homomorphism_exhaustive(t)
+    assert _same_bits(worst, walk)
+    widened = {(363,): (3,), (2, 2, 180): (1, 1, 2), (2, 367): (1, 367)}
+    assert [c.shape for c in calls] == [widened.get(orders, orders)]
+
+
+# Tables that repeat, each with one worst pair of the quotient that only the
+# walk's own pairs rank right.  The tile is a character with entry 0 turned
+# by PHI and entry q of modulus 1 + 9e-10, so that (0, q) and (q, 0) are the
+# worst pairs, and t(0) t(q) and t(q) t(0) round apart.  Where L is cut,
+# t(0) t(q) rounds above, and the walk reaches (0, q) at an offset past the
+# tile's own half window: q = 57 past Z_100's offsets [0, 50], and on
+# 16 x 40, whose tile 16 x 10 has the first axis longest, q = (9, 3) past
+# [0, 8].  Where L keeps its length, t(q) t(0) rounds above, and the walk
+# takes (0, q) at the end of its half window, q_L = 12 of 25, but never
+# (q, 0), which the full window would take
+PLANTED_TILES = {
+    "Z_400 on Z_100, L cut": ((400,), (100,), (7,), (57,)),
+    "16 x 40 on 16 x 10, L cut": ((16, 40), (16, 10), (3, 7), (9, 3)),
+    "16 x 25 on 8 x 25, L kept": ((16, 25), (8, 25), (5, 3), (3, 12)),
+}
+
+
+@pytest.mark.parametrize("case", PLANTED_TILES)
+def test_one_period_walk_takes_the_walks_own_pairs(monkeypatch, case):
+    orders, tile_orders, k, q = PLANTED_TILES[case]
+    tile = character_table(FiniteGroupSpec(tile_orders), k).values.copy()
+    zero = (0,) * len(orders)
+    tile[zero] *= np.exp(1j * PHI)
+    tile[q] *= 1 + 9e-10
+    t = CharacterTable(
+        FiniteGroupSpec(orders), np.tile(tile, tuple(n // p for n, p in zip(orders, tile_orders)))
+    )
+    walk = finite._worst_defect_all_pairs(t.values)
+    t_0, t_q = tile[zero].reshape(1), tile[q].reshape(1)
+    assert math.sqrt(finite._block_worst(t_0, t_q, t_q)) == walk
+    assert finite._block_worst(t_q, t_0, t_q) != walk**2
+    longest = orders.index(max(orders))
+    cut = tile_orders[longest] < orders[longest]
+    # the window the tile is not walked with gives other bits
+    assert not _same_bits(finite._worst_defect_all_pairs(tile, full_window=not cut), walk)
+    calls = _count_full_walks(monkeypatch)
+    _, worst = is_homomorphism_exhaustive(t)
+    assert [c.shape for c in calls] == [tile_orders]
+    assert _same_bits(worst, walk)
+
+
+def _same_products(p, r) -> bool:
+    """Whether two complex arrays hold the same bits, a NaN component
+    matching any NaN: a NaN anywhere in a block is the walk's answer."""
+    p, r = (np.ascontiguousarray(x).view(np.float64) for x in (p, r))
+    same = p.view(np.uint64) == r.view(np.uint64)
+    return bool(np.all(same | (np.isnan(p) & np.isnan(r))))
+
+
+def test_complex_multiply_bits_do_not_depend_on_position():
+    # The certificate and the one-period walk rely on this: a pair's
+    # product t(a) t(b) has the same bits wherever the pair sits in a block,
+    # in the vector body or the tail of numpy's loop, strided, or against a
+    # 0-d or broadcast operand, and with an output buffer, as the walk's
+    # blocks use.  Each product is held to the pair multiplied alone
+    rng = np.random.default_rng(11)
+    n = 80
+    a, b = (
+        np.exp(1j * rng.uniform(0, 2 * np.pi, n)) * 10.0 ** rng.uniform(-3, 3, n)
+        for _ in range(2)
+    )
+    a[:n // 2] /= np.abs(a[:n // 2])  # unit-modulus entries, as tables hold
+    for i, x in enumerate([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, 5e-324]):
+        a[3 * i + 1], b[5 * i + 2], a[7 * i + 3] = complex(x, 1.0), complex(-1.0, x), complex(x, x)
+    with np.errstate(all="ignore"):
+        alone = np.array(
+            [[np.multiply(a[i : i + 1], b[j : j + 1])[0] for j in range(n)] for i in range(n)]
+        )
+        diag = np.diagonal(alone)
+        for length in range(1, 70):
+            for off in range(9):
+                span = slice(off, off + length)
+                assert _same_products(np.multiply(a[span], b[span]), diag[span]), (length, off)
+        for step in (2, 3, -1, -2):
+            for off in range(4):
+                span = slice(off, None, step) if step > 0 else slice(n - 1 - off, None, step)
+                assert _same_products(np.multiply(a[span], b[span]), diag[span]), (step, off)
+        for i in range(n):
+            assert _same_products(np.multiply(a[i], b), alone[i])
+            assert _same_products(np.multiply(np.asarray(a[i]), b), alone[i])
+            assert _same_products(np.multiply(a, b[i]), alone[:, i])
+        out = np.empty((n, n), complex)
+        assert _same_products(np.multiply(a[:, None], b, out), alone)
+        # the walk's blocks: t(a) a (count, rows, 1) array, t(b) overlapping
+        # runs of one array, b[r : r + run] for row r, into a buffer.  A
+        # block of one pair is left out: numpy rounds it apart where its
+        # operands broadcast, and the walk takes one only on a table of one
+        # element (see finite._all_pairs_worst)
+        for count, rows, run in itertools.product((1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 17, 60)):
+            if count * rows * run > 1:
+                runs = np.lib.stride_tricks.sliding_window_view(b, run)[:rows]
+                buffer = out.ravel()[: count * rows * run].reshape(count, rows, run)
+                got = np.multiply(a[: count * rows].reshape(count, rows, 1), runs, buffer)
+                c, r, j = np.ogrid[:count, :rows, :run]
+                assert _same_products(got, alone[rows * c + r, r + j]), (count, rows, run)
+
+
 @pytest.mark.parametrize("failing", [1, 2])
 def test_failing_worker_raises_in_caller(monkeypatch, failing):
     # the caller is worker 1 and a started thread worker 2.  Caught nowhere,
@@ -593,6 +849,19 @@ def test_identify_both_routes_reject_random_tables():
     )
     assert identify_finite(t) is None
     assert identify_finite_brute(t) is None
+
+
+@pytest.mark.parametrize("floor", [0.0, -1.0, 1.0001, math.nan])
+@pytest.mark.parametrize("route", [identify_finite, identify_finite_brute])
+def test_identify_routes_refuse_floors_outside_the_unit_interval(route, floor):
+    # the floor dominant_frequency takes; a random Z_16 table was
+    # "identified" as (6,) at floors 0.0 and -1.0
+    t = CharacterTable(
+        FiniteGroupSpec((16,)), np.exp(1j * np.random.default_rng(1).uniform(0, 2 * np.pi, 16))
+    )
+    with pytest.raises(ValueError, match="floor"):
+        route(t, floor=floor)
+    assert route(character_table(t.group, 6), floor=1.0) == (6,)
 
 
 def test_identify_routes_agree_on_jittered_characters():

@@ -68,6 +68,35 @@ def test_grid_validation():
         TorusSamples((4,), np.ones(5, dtype=complex))
 
 
+@pytest.mark.parametrize("grid", [(2.5, 4), ("4",), (np.float64(3.5),), (math.inf,), 4.5])
+def test_grid_refuses_counts_that_are_not_integral(grid):
+    # int() truncated (2.5, 4) to the grid (2, 4), which 8 values then fit
+    with pytest.raises(ValueError, match="integers"):
+        TorusSamples(grid, np.ones(8, dtype=complex))
+
+
+def test_integral_numbers_of_any_type_stay_accepted():
+    assert TorusSamples((np.float64(2.0), 4.0), np.ones(8, dtype=complex)).grid == (2, 4)
+    want = sample_character_torus((1, 2), (8, 8)).values.tobytes()
+    assert sample_character_torus((1.0, np.int16(2)), (8.0, 8)).values.tobytes() == want
+    s = sample_character_torus(1, 8)
+    assert shift_samples(s, 2.0).values.tobytes() == shift_samples(s, 2).values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sample_character_torus(1.5, 8),
+        lambda: sample_character_torus(1, (8, 8.5)),
+        lambda: shift_samples(sample_character_torus(1, 8), 0.5),
+        lambda: sample_character_line(0.5, 8.5),
+    ],
+)
+def test_frequencies_offsets_and_grids_refuse_fractions(call):
+    with pytest.raises(ValueError, match="integers"):
+        call()
+
+
 def test_values_are_read_only_copies():
     raw = np.ones(4, dtype=complex)
     s = TorusSamples((4,), raw)
