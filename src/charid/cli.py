@@ -3,8 +3,9 @@
 One request per invocation.  Input is a JSON document (any mode, any
 dimension) or a CSV table (1-D only); the report goes to standard output as
 JSON or a fixed text template, diagnostics to standard error.  Exit codes
-are part of the contract: 0 success (any verdict), 1 usage, 2 missing file,
-3 malformed syntax or shape, 4 invariant violation (non-unit samples).
+are part of the contract: 0 success (any verdict), 1 usage, 2 a file or
+output that cannot be read or written (standard output included), 3
+malformed syntax or shape, 4 invariant violation (non-unit samples).
 
 Every floating value is serialized with 17 significant digits, so a report
 parsed back from disk reproduces the in-memory numbers exactly and repeated
@@ -18,9 +19,11 @@ formats, optionally with seeded uniform phase jitter, so round trips
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from typing import Callable
@@ -36,7 +39,7 @@ from .finite import (
     identify_finite,
     is_homomorphism_exhaustive,
 )
-from .fourier import _dft, _top_indices
+from .fourier import _dft, _peaks
 from .identify import CharacterReport, IdentifyConfig, _verdict, classify
 from .samples import (
     LineSamples,
@@ -138,10 +141,10 @@ def _load_text(path: str) -> str:
             return fh.read()
     except FileNotFoundError:
         raise InputError(EXIT_MISSING_FILE, f"no such file: {path}") from None
-    except OSError as err:
-        raise InputError(EXIT_MISSING_FILE, f"cannot read {path}: {err}") from None
     except UnicodeDecodeError:
         raise InputError(EXIT_MALFORMED, f"{path} is not valid utf-8 text") from None
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
+        raise InputError(EXIT_MISSING_FILE, f"cannot read {path}: {err}") from None
 
 
 def _pairs_to_complex(field, count: int, what: str) -> np.ndarray:
@@ -330,13 +333,7 @@ def _finite_report(table: CharacterTable, cfg: IdentifyConfig) -> CharacterRepor
     """
     passed, worst = is_homomorphism_exhaustive(table)
     mags = np.abs(_dft(table.values)).ravel() / table.group.size
-    peaks = tuple(
-        (
-            tuple(int(i) for i in np.unravel_index(int(flat), table.group.orders)),
-            float(mags[flat]),
-        )
-        for flat in _top_indices(mags, 5)
-    )
+    peaks = tuple(_peaks(mags, table.group.orders, 5, shifted=False))
     peak = peaks[0][1]
     dom = identify_finite(table, cfg.floor)
     return CharacterReport(
@@ -369,8 +366,32 @@ def run(args: argparse.Namespace) -> int:
     obj = parse_input(args.input, mode=args.mode, endpoint=endpoint)
     rep = _finite_report(obj, cfg) if isinstance(obj, CharacterTable) else classify(obj, cfg)
     report = _report_dict(rep, cfg, args.mode)
-    print(_to_json(report) if args.fmt == "json" else _render_text(report))
+    _write_stdout(_to_json(report) if args.fmt == "json" else _render_text(report))
     return EXIT_OK
+
+
+def _write_stdout(text: str = "") -> None:
+    """Print ``text``, if any, and flush standard output.
+
+    An output that cannot take it (closed, full, or a pipe whose reader has
+    gone) raises InputError with exit 2, as an unwritable ``--output`` does.
+    Its descriptor then goes to the null device, so the interpreter's own
+    flush at exit has nothing left to fail on.
+    """
+    if sys.stdout is None:
+        if text:
+            raise InputError(EXIT_MISSING_FILE, "cannot write report: standard output is closed")
+        return
+    try:
+        if text:
+            print(text)
+        sys.stdout.flush()
+    except OSError as err:
+        with contextlib.suppress(OSError, ValueError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise InputError(EXIT_MISSING_FILE, f"cannot write report: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +412,6 @@ def generate(
     still parse.  In line mode the jitter draw covers base samples first and
     then the endpoints, in one deterministic seeded stream.
     """
-    if len(freqs) != len(grid):
-        raise InputError(
-            EXIT_USAGE, f"freq has {len(freqs)} entries but grid has {len(grid)}"
-        )
     # orders below 1 are the grid checks' to report
     if min(grid) >= 1 and math.prod(grid) > GENERATE_CAP:
         raise InputError(EXIT_USAGE, f"grid {tuple(grid)} has more than {GENERATE_CAP} samples")
@@ -412,14 +429,12 @@ def generate(
     endpoints = None
     try:
         if mode == "torus":
-            values = sample_character_torus(_as_ints(freqs), grid).values
+            values = sample_character_torus(freqs, grid).values
         elif mode == "line":
             ls = sample_character_line(freqs, grid)
             values, endpoints = ls.base.values, ls.endpoint_values
         elif mode == "finite":
-            values = character_table(
-                FiniteGroupSpec(tuple(grid)), _as_ints(freqs)
-            ).values
+            values = character_table(FiniteGroupSpec(tuple(grid)), freqs).values
         else:
             raise InputError(EXIT_USAGE, f"mode must be one of {MODES}, got {mode!r}")
     except ValueError as err:
@@ -448,17 +463,8 @@ def generate(
     try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(payload)
-    except OSError as err:
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
         raise InputError(EXIT_MISSING_FILE, f"cannot write {output}: {err}") from None
-
-
-def _as_ints(freqs: list[float]) -> list[int]:
-    out = []
-    for x in freqs:
-        if not float(x).is_integer():
-            raise InputError(EXIT_USAGE, f"frequency must be integral, got {x}")
-        out.append(int(x))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +540,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            _write_stdout()  # --version and --help leave their text buffered
+            return int(exc.code or 0)
         if args.command == "analyze":
             return run(args)
         generate(

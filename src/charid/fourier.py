@@ -205,18 +205,20 @@ def _top_indices(mag: np.ndarray, count: int) -> np.ndarray:
 
 
 def _peaks(
-    mag: np.ndarray, grid: tuple[int, ...], count: int
+    mag: np.ndarray, grid: tuple[int, ...], count: int, shifted: bool = True
 ) -> list[tuple[tuple[int, ...], float]]:
-    """(k, magnitude) of the ``count`` largest entries of the flat, shifted
-    magnitudes ``mag`` of a spectrum over ``grid``, in :func:`_top_indices`
-    order; k comes from the flat index by integer divmod, axis by axis."""
+    """(k, magnitude) of the ``count`` largest flat magnitudes ``mag`` over
+    ``grid``, in :func:`_top_indices` order.  k comes from the flat index by
+    divmod, axis by axis: in the symmetric box for a ``shifted`` spectrum, in
+    prod [0, N_j) for the unshifted transform of a finite table."""
     flats = _top_indices(mag, count)
+    axes = [(n, n // 2 if shifted else 0) for n in reversed(grid)]
     out = []
     for flat, m in zip(flats.tolist(), mag[flats].tolist()):
         k = []
-        for n in reversed(grid):
+        for n, half in axes:
             flat, i = divmod(flat, n)
-            k.append(i - n // 2)
+            k.append(i - half)
         out.append((tuple(reversed(k)), m))
     return out
 

@@ -97,6 +97,16 @@ def oracle_top_k(mag: np.ndarray, count: int) -> np.ndarray:
     return np.argsort(-np.ravel(mag), kind="stable")[: max(0, count)]
 
 
+def oracle_finite_peaks(mag: np.ndarray, orders: tuple[int, ...], count: int) -> list:
+    """(k, magnitude) of the ``count`` largest flat magnitudes of a finite
+    table's unshifted transform, k in prod [0, N_j): the stable-sort
+    selection, each flat index labeled by ``np.unravel_index``."""
+    return [
+        (tuple(int(i) for i in np.unravel_index(int(flat), orders)), float(mag[flat]))
+        for flat in oracle_top_k(mag, count)
+    ]
+
+
 def oracle_hom_residual(values: np.ndarray, trials: int, seed: int) -> float:
     """The seeded sampled-pairs defect max |f(a+b) - f(a) f(b)|, drawn afresh
     on every call and gathered with one index array per axis; the same draws,

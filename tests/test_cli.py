@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -558,6 +560,103 @@ def test_version_flag(capsys):
     assert code == EXIT_USAGE and out == "" and err.count("\n") == 1
 
 
+@pytest.fixture(scope="module")
+def t64_fixture(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("t64") / "t64.json")
+    assert main(["generate", "--mode", "torus", "--freq", "3", "--grid", "64",
+                 "--output", path]) == 0
+    return path
+
+
+def _run_cli_into(stdout, args, unbuffered):
+    """(exit code, stderr) of a fresh ``charid`` process whose standard
+    output is ``stdout``: "full" (/dev/full), "pipe" (a pipe whose reader
+    has closed) or "closed"."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(pathlib.Path(charid.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "charid.cli", *args]
+    run = dict(env=env, stderr=subprocess.PIPE, text=True, timeout=60)
+    if stdout == "closed":
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], **run)
+    elif stdout == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(argv, stdout=full, **run)
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(argv, stdout=write, **run)
+        finally:
+            os.close(write)
+    return proc.returncode, proc.stderr
+
+
+_UNWRITABLE = {
+    "full": "[Errno 28] ",
+    "pipe": "[Errno 32] ",
+    "closed": "standard output is closed",
+}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("stdout", sorted(_UNWRITABLE))
+def test_a_report_that_cannot_be_written_is_one_error_line(t64_fixture, stdout, unbuffered):
+    # a traceback (unbuffered), "Exception ignored" and exit 120 (buffered),
+    # or exit 0 with the report dropped (closed)
+    code, err = _run_cli_into(
+        stdout, ["analyze", "--input", t64_fixture, "--mode", "torus"], unbuffered
+    )
+    assert code == EXIT_MISSING_FILE
+    assert err.startswith("charid: error: cannot write report: " + _UNWRITABLE[stdout])
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("stdout", ["full", "pipe"])
+def test_a_version_that_cannot_be_written_is_one_error_line(stdout):
+    code, err = _run_cli_into(stdout, ["--version"], unbuffered=False)
+    assert code == EXIT_MISSING_FILE
+    assert err.startswith("charid: error: cannot write report: " + _UNWRITABLE[stdout])
+    assert err.count("\n") == 1
+
+
+def test_nul_byte_paths_are_one_error_line(tmp_path):
+    # open() raises ValueError("embedded null byte"), which left main
+    nul = str(tmp_path / "a\x00b.json")
+    code, out, err = _run_quietly(["analyze", "--input", nul, "--mode", "torus"])
+    _assert_one_error_line(code, out, err)
+    assert code == EXIT_MISSING_FILE and "cannot read" in err
+    code, out, err = _run_quietly(["generate", "--mode", "torus", "--freq", "1", "--grid", "8",
+                                   "--output", nul])
+    _assert_one_error_line(code, out, err)
+    assert code == EXIT_MISSING_FILE and "cannot write" in err
+
+
+@pytest.mark.parametrize("mode", ["torus", "finite"])
+def test_integral_float_frequencies_write_the_same_fixture(tmp_path, mode):
+    for name, freq in [("int.json", "3,2"), ("float.json", "3.0,2.0")]:
+        assert main(["generate", "--mode", mode, "--freq", freq, "--grid", "16,8",
+                     "--output", str(tmp_path / name)]) == 0
+    assert (tmp_path / "int.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "mode, freq",
+    [("torus", "2.5"), ("finite", "2.5")]
+    + [(mode, freq) for mode in cli.MODES for freq in ("inf", "-inf", "nan", "1e400", "1,2")],
+)
+def test_generate_refuses_bad_frequencies_with_one_line(tmp_path, mode, freq):
+    out = tmp_path / "x.json"
+    code, stdout, err = _run_quietly(["generate", "--mode", mode, "--freq", freq,
+                                      "--grid", "8", "--output", str(out)])
+    _assert_one_error_line(code, stdout, err)
+    assert code == EXIT_USAGE and not out.exists()
+
+
 def test_console_script_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "charid.cli", "analyze", "--input",
@@ -712,7 +811,7 @@ def _hostile_argv(draw, d):
     if draw(st.booleans()):
         inputs = mostly(
             st.sampled_from(["t8.json", "l8.json", "z8.json", "t8.csv"]),
-            st.sampled_from(["absent.json", "", ".", "no/dir.json"]),
+            st.sampled_from(["absent.json", "", ".", "no/dir.json", "a\x00b.json"]),
         )
         required = {"--input": inputs.map(lambda n: str(d / n)), "--mode": modes}
         optional = {
@@ -732,7 +831,7 @@ def _hostile_argv(draw, d):
                              .map(",".join), _argv_lists()),
             "--grid": _argv_grids(),
             "--output": mostly(st.sampled_from(["out.json", "out.csv"]),
-                               st.sampled_from(["no/dir.json", "", "."]))
+                               st.sampled_from(["no/dir.json", "", ".", "a\x00b.json"]))
                         .map(lambda n: str(d / n)),
         }
         optional = {

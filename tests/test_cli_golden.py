@@ -7,11 +7,18 @@ was introduced on.  A refactor that means to keep behaviour must pass it
 unchanged; a deliberate change of output re-records the affected cases and
 says so in CHANGES.md.  The temporary directory appears as ``{tmp}`` in the
 recorded text.
+
+``PYTHONPATH=src python tests/test_cli_golden.py NAME...`` prints the named
+cases' literals in the format of ``GOLDEN``, for pasting; it never writes
+this file, so a changed output still fails until someone re-records it.
 """
 
 import contextlib
 import io
 import json
+import pathlib
+import sys
+import tempfile
 
 import pytest
 
@@ -34,6 +41,18 @@ FIXTURES = {
                   "--noise", "0.4", "--seed", "3"],
     "z6x10.json": ["--mode", "finite", "--freq", "2,7", "--grid", "6,10"],
     "z48.csv": ["--mode", "finite", "--freq", "11", "--grid", "48"],
+    # every all-pairs route, on both sides of ALL_PAIRS_CAP = 65536
+    "z400.json": ["--mode", "finite", "--freq", "2", "--grid", "400"],
+    "z401.json": ["--mode", "finite", "--freq", "1", "--grid", "401"],
+    "z20x20.json": ["--mode", "finite", "--freq", "1,3", "--grid", "20,20"],
+    "z367c.json": ["--mode", "finite", "--freq", "0", "--grid", "367"],
+    "z65536.json": ["--mode", "finite", "--freq", "16384", "--grid", "65536"],
+    "z65537.json": ["--mode", "finite", "--freq", "5", "--grid", "65537"],
+}
+
+#: fixture file name -> (fixture it copies, index of the one entry negated)
+NEGATED = {
+    "z401neg.json": ("z401.json", 100),
 }
 
 #: hand-written inputs: file name -> contents
@@ -100,8 +119,27 @@ CASES = {
     "missing_file": _analyze("absent.json", "torus"),
     "missing_file_text": _analyze("absent.csv", "finite", "--format", "text"),
     "floor_out_of_range": _analyze("t64.json", "torus", "--floor", "1.5"),
+    # one-period walk with the walk axis cut
+    "finite400_period": _analyze("z400.json", "finite"),
+    # full threaded walk
+    "finite401": _analyze("z401.json", "finite"),
+    # sparse-corruption certificate
+    "finite401_negated": _analyze("z401neg.json", "finite"),
+    # multi-block 2-D walk
+    "finite20x20": _analyze("z20x20.json", "finite"),
+    "finite367_constant": _analyze("z367c.json", "finite"),
+    # one-period walk at the cap
+    "finite65536_period": _analyze("z65536.json", "finite"),
+    # sampled check above the cap
+    "finite65537_sampled": _analyze("z65537.json", "finite"),
+    "finite65537_sampled_text": _analyze("z65537.json", "finite", "--format", "text"),
     "generate_aliasing": ["generate", "--mode", "torus", "--freq", "40", "--grid", "64",
                           "--output", "{tmp}/never.json"],
+    # the builders' own wording, since generate passes --freq to them unchecked
+    "generate_fractional_freq": ["generate", "--mode", "finite", "--freq", "2.5",
+                                 "--grid", "8", "--output", "{tmp}/never.json"],
+    "generate_freq_length": ["generate", "--mode", "torus", "--freq", "1,2", "--grid", "8",
+                             "--output", "{tmp}/never.json"],
 }
 
 GOLDEN = {
@@ -285,6 +323,56 @@ GOLDEN = {
         '',
         'charid: error: |k|=40 aliases on an axis of 64 samples\n',
     ),
+    'generate_fractional_freq': (
+        1,
+        '',
+        'charid: error: k must be integers, got 2.5\n',
+    ),
+    'generate_freq_length': (
+        1,
+        '',
+        'charid: error: k has 2 entries for a 1-axis grid\n',
+    ),
+    'finite400_period': (
+        0,
+        '{"verdict":"ExactCharacter","frequency":[2],"hom_residual":2.0859196845419631e-15,"spectral_peak":1,"peaks":[[[2],1],[[74],3.9895370418680863e-17],[[78],3.8784889640942187e-17],[[10],3.8101735568654372e-17],[[26],3.8086994407179798e-17]],"config":{"mode":"finite","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002}}\n',
+        '',
+    ),
+    'finite401': (
+        0,
+        '{"verdict":"ExactCharacter","frequency":[1],"hom_residual":2.1897020778056687e-15,"spectral_peak":1,"peaks":[[[1],1],[[240],1.318952140757936e-16],[[163],8.6877948366011717e-17],[[2],7.9377962991293862e-17],[[235],6.5368544807132463e-17]],"config":{"mode":"finite","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002}}\n',
+        '',
+    ),
+    'finite401_negated': (
+        0,
+        '{"verdict":"ApproxCharacter","frequency":[1],"hom_residual":2,"spectral_peak":0.99501246882793015,"peaks":[[[1],0.99501246882793015],[[78],0.0049875311720699363],[[81],0.0049875311720698739],[[390],0.0049875311720698739],[[276],0.0049875311720698704]],"config":{"mode":"finite","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002}}\n',
+        '',
+    ),
+    'finite20x20': (
+        0,
+        '{"verdict":"ExactCharacter","frequency":[1,3],"hom_residual":3.1517648628938487e-15,"spectral_peak":1,"peaks":[[[1,3],1],[[16,3],1.1452621242873756e-16],[[1,8],9.823695099172752e-17],[[7,3],9.6510012853522049e-17],[[1,13],9.254589816241187e-17]],"config":{"mode":"finite","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002}}\n',
+        '',
+    ),
+    'finite367_constant': (
+        0,
+        '{"verdict":"ExactCharacter","frequency":[0],"hom_residual":0,"spectral_peak":0.99999999999999989,"peaks":[[[0],0.99999999999999989],[[105],8.797009046045382e-17],[[262],7.5561850095824057e-17],[[337],6.916296390822529e-17],[[157],5.2953617366408068e-17]],"config":{"mode":"finite","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002}}\n',
+        '',
+    ),
+    'finite65536_period': (
+        0,
+        '{"verdict":"ExactCharacter","frequency":[16384],"hom_residual":2.4492935982947064e-16,"spectral_peak":1,"peaks":[[[16384],1],[[0],4.3297802811774658e-17],[[32768],4.3297802811774658e-17],[[49152],3.061616997868383e-17],[[1],0]],"config":{"mode":"finite","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002}}\n',
+        '',
+    ),
+    'finite65537_sampled': (
+        0,
+        '{"verdict":"ExactCharacter","frequency":[5],"hom_residual":2.2037297810228127e-15,"spectral_peak":0.99999999999999933,"peaks":[[[5],0.99999999999999933],[[13054],1.0776392031599948e-16],[[52493],6.8729089005136008e-17],[[39298],6.8674414753303075e-17],[[10],6.4565641903548275e-17]],"config":{"mode":"finite","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002}}\n',
+        '',
+    ),
+    'finite65537_sampled_text': (
+        0,
+        'verdict: "ExactCharacter"\nfrequency: [5]\nhom_residual: 2.2037297810228127e-15\nspectral_peak: 0.99999999999999933\npeaks:\n  [5]: 0.99999999999999933\n  [13054]: 1.0776392031599948e-16\n  [52493]: 6.8729089005136008e-17\n  [39298]: 6.8674414753303075e-17\n  [10]: 6.4565641903548275e-17\nconfig: {"mode":"finite","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002}\n',
+        '',
+    ),
 }
 
 
@@ -301,6 +389,10 @@ def write_fixtures(directory):
         assert run(["generate", *args, "--output", str(directory / name)]) == (0, "", "")
     for name, text in RAW.items():
         (directory / name).write_text(text, encoding="utf-8")
+    for name, (source, index) in NEGATED.items():
+        doc = json.loads((directory / source).read_text(encoding="utf-8"))
+        doc["values"][index] = [-x for x in doc["values"][index]]
+        (directory / name).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def run_case(directory, name):
@@ -323,3 +415,22 @@ def test_corpus_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_recording(fixture_dir, name):
     assert run_case(fixture_dir, name) == GOLDEN[name]
+
+
+def print_literals(names):
+    """Print each named case's (code, stdout, stderr) as a ``GOLDEN`` entry,
+    for pasting into this file; nothing is written to it."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = pathlib.Path(tmp)
+        write_fixtures(directory)
+        for name in names:
+            code, out, err = run_case(directory, name)
+            print(f"    {name!r}: (\n        {code},\n        {out!r},\n        {err!r},\n    ),")
+
+
+if __name__ == "__main__":
+    # python tests/test_cli_golden.py NAME...  (with charid importable)
+    print_literals(sys.argv[1:])

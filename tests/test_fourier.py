@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from charid.fourier import (
     FourierSpectrum,
+    _peaks,
     coefficient,
     dominant_frequency,
     parseval_residual,
@@ -19,7 +20,7 @@ from charid.fourier import (
 )
 from charid.samples import TorusSamples, sample_character_torus
 
-from oracles import oracle_coefficient, oracle_spectrum, oracle_top_k
+from oracles import oracle_coefficient, oracle_finite_peaks, oracle_spectrum, oracle_top_k
 
 # exp(i sin x) = sum_n J_n(1) exp(i n x); aliasing terms are ~1e-110 at N=64
 BESSEL_J0_1 = 0.76519768655796655145
@@ -148,6 +149,29 @@ def test_top_peaks_matches_stable_sort_oracle(sp, data):
         for f in want
     ]
     assert np.array([m for _, m in got], dtype=np.float64).tobytes() == mag[want].tobytes()
+
+
+@st.composite
+def unshifted_magnitudes(draw):
+    """(orders, flat magnitudes, count) over 1-3 axes, order-1 axes
+    included, with tied and NaN magnitudes and counts past the size."""
+    orders = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    size = math.prod(orders)
+    entry = st.sampled_from([0.0, 0.25, 1.0, math.nan]) | st.floats(0.0, 2.0)
+    mag = np.array(draw(st.lists(entry, min_size=size, max_size=size)), dtype=np.float64)
+    return orders, mag, draw(st.integers(0, size + 2))
+
+
+@given(unshifted_magnitudes())
+@settings(deadline=None, max_examples=300)
+def test_unshifted_peaks_match_the_unravel_route_bitwise(case):
+    orders, mag, count = case
+    got = _peaks(mag, orders, count, shifted=False)
+    want = oracle_finite_peaks(mag, orders, count)
+    assert [k for k, _ in got] == [k for k, _ in want]
+    assert all(type(i) is int for k, _ in got for i in k)
+    got_m = np.array([m for _, m in got], dtype=np.float64)
+    assert got_m.tobytes() == np.array([m for _, m in want], dtype=np.float64).tobytes()
 
 
 @given(tie_heavy_spectra(), st.sampled_from([0.25, 0.5, 0.9, 1.0]))
