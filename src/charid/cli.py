@@ -366,32 +366,44 @@ def run(args: argparse.Namespace) -> int:
     obj = parse_input(args.input, mode=args.mode, endpoint=endpoint)
     rep = _finite_report(obj, cfg) if isinstance(obj, CharacterTable) else classify(obj, cfg)
     report = _report_dict(rep, cfg, args.mode)
-    _write_stdout(_to_json(report) if args.fmt == "json" else _render_text(report))
+    _write_stdout((_to_json(report) if args.fmt == "json" else _render_text(report)) + "\n")
     return EXIT_OK
 
 
-def _write_stdout(text: str = "") -> None:
-    """Print ``text``, if any, and flush standard output.
-
-    An output that cannot take it (closed, full, or a pipe whose reader has
-    gone) raises InputError with exit 2, as an unwritable ``--output`` does.
-    Its descriptor then goes to the null device, so the interpreter's own
-    flush at exit has nothing left to fail on.
-    """
-    if sys.stdout is None:
-        if text:
-            raise InputError(EXIT_MISSING_FILE, "cannot write report: standard output is closed")
-        return
+def _write(stream, text: str) -> None:
+    """Write ``text`` to ``stream`` and flush it.  Where that fails, the
+    stream's descriptor goes to the null device before the OSError is
+    raised, so that the interpreter's own flush at exit has nothing left
+    to fail on."""
     try:
-        if text:
-            print(text)
-        sys.stdout.flush()
-    except OSError as err:
+        stream.write(text)
+        stream.flush()
+    except OSError:
         with contextlib.suppress(OSError, ValueError):
             devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
+            os.dup2(devnull, stream.fileno())
             os.close(devnull)
+        raise
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to standard output.  An output that cannot take it
+    (closed, full, or a pipe whose reader has gone) raises InputError with
+    exit 2, as an unwritable ``--output`` does."""
+    if sys.stdout is None:
+        raise InputError(EXIT_MISSING_FILE, "cannot write report: standard output is closed")
+    try:
+        _write(sys.stdout, text)
+    except OSError as err:
         raise InputError(EXIT_MISSING_FILE, f"cannot write report: {err}") from None
+
+
+def _write_stderr(text: str) -> None:
+    """Write a diagnostic to standard error, or drop it where standard
+    error is closed or cannot take it: the exit code holds all the same."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            _write(sys.stderr, text)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +499,16 @@ class _Parser(argparse.ArgumentParser):
     # contract reserves 2 for missing files, uses 1 for usage errors and
     # prints one line
     def error(self, message: str) -> None:  # noqa: D102 - argparse override
-        self.exit(EXIT_USAGE, _error_line(message))
+        _write_stderr(_error_line(message))
+        self.exit(EXIT_USAGE)
+
+    # argparse prints help, usage and --version here, to stdout; it would
+    # drop a failed write, and take stderr when stdout is closed
+    def _print_message(self, message: str, file=None) -> None:
+        if file is sys.stdout:  # None too, when stdout is closed
+            _write_stdout(message)
+        else:
+            super()._print_message(message, file)
 
 
 def _num_list(text: str, kind, name: str) -> list:
@@ -542,8 +563,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             args = parser.parse_args(argv)
-        except SystemExit as exc:
-            _write_stdout()  # --version and --help leave their text buffered
+        except SystemExit as exc:  # --help, --version or a usage error
             return int(exc.code or 0)
         if args.command == "analyze":
             return run(args)
@@ -557,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return EXIT_OK
     except InputError as err:
-        sys.stderr.write(_error_line(str(err)))
+        _write_stderr(_error_line(str(err)))
         return err.code
 
 

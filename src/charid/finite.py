@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -200,16 +199,16 @@ def _worst_defect_all_pairs(values: np.ndarray, full_window: bool = False) -> fl
     with no copy made.
 
     A table of up to about 360 elements is a single block, checked in the
-    calling thread.  Larger ones are split between _worker_count() workers:
-    the calling thread and threads it starts, which run at once because
-    numpy's ufuncs release the interpreter lock.  The boxes go round the
-    workers in turn; a single box (a cyclic group) has its blocks of rows
-    dealt out instead.  Each worker reduces its share to a worst |defect|^2
-    and the caller takes the max, which is exact in any order, so the result
+    calling thread.  Larger ones are split into _worker_count() shares: the
+    caller works share 0 and a thread pool made for the call the others, at
+    once because numpy's ufuncs release the interpreter lock.  The boxes go
+    round the shares in turn; a single box (a cyclic group) has its blocks
+    of rows dealt out instead.  Each share reduces to a worst |defect|^2 and
+    the caller takes the max, which is exact in any order, so the result
     does not depend on the worker count; a NaN in any share is the answer.
-    The threads keep the caller's numpy floating-point error handling.
-    Every thread is joined before the call returns or raises, and the first
-    worker's exception, if any, is raised in the caller.
+    The pool's threads keep the caller's numpy floating-point error
+    handling.  Every thread is joined before the call returns or raises,
+    and the lowest share's exception, if any, is raised in the caller.
     """
     longest = values.shape.index(max(values.shape))
     if longest:
@@ -259,21 +258,12 @@ def _worst_defect_all_pairs(values: np.ndarray, full_window: bool = False) -> fl
 
     if n0 * m * run <= BLOCK_PAIRS:  # one block
         return math.sqrt(share_worst(boxes, 0, 1))
+    from concurrent.futures import ThreadPoolExecutor
+
     one_box = len(boxes) == 1  # then m is 1
     shares = -(-n0 // max(1, BLOCK_PAIRS // run)) if one_box else len(boxes)
     workers = min(_worker_count(), shares)
-    worst: list[float] = [0.0] * workers
-    errors: list[BaseException | None] = [None] * workers
     fp_errors = np.geterr()  # a new thread starts from numpy's defaults
-
-    def work(w, *buffers):
-        try:
-            share = (boxes, w, workers) if one_box else (boxes[w::workers], 0, 1)
-            with np.errstate(**fp_errors):
-                worst[w] = share_worst(*share, *buffers)
-        except BaseException as err:  # raised again in the caller
-            errors[w] = err
-
     # Every worker's buffers are allocated here: arrays allocated in the
     # threads would each take a malloc arena of their own and raise peak RSS
     pairs = max(BLOCK_PAIRS, run)  # the largest block
@@ -285,19 +275,17 @@ def _worst_defect_all_pairs(values: np.ndarray, full_window: bool = False) -> fl
         )
         for _ in range(workers)
     ]
-    threads = []
-    try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=work, args=(w, *buffers[w]))
-            thread.start()
-            threads.append(thread)
-        work(0, *buffers[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    for err in errors:
-        if err is not None:
-            raise err
+
+    def work(w) -> float:
+        share = (boxes, w, workers) if one_box else (boxes[w::workers], 0, 1)
+        with np.errstate(**fp_errors):
+            return share_worst(*share, *buffers[w])
+
+    # at most one thread per share given (a pool of 0 is refused); leaving
+    # the block joins them all, and then the lowest share's error is raised
+    with ThreadPoolExecutor(workers) as pool:
+        started = pool.map(work, range(1, workers))
+        worst = [work(0), *started]
     if any(map(math.isnan, worst)):
         return math.nan
     return math.sqrt(max(worst))

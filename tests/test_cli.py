@@ -568,32 +568,34 @@ def t64_fixture(tmp_path_factory):
     return path
 
 
-def _run_cli_into(stdout, args, unbuffered):
-    """(exit code, stderr) of a fresh ``charid`` process whose standard
-    output is ``stdout``: "full" (/dev/full), "pipe" (a pipe whose reader
-    has closed) or "closed"."""
+def _run_cli_into(target, args, unbuffered, fd=1):
+    """(exit code, the other stream's text) of a fresh ``charid`` process
+    whose standard output (``fd`` 1) or standard error (``fd`` 2) is
+    ``target``: "full" (/dev/full), "pipe" (a pipe whose reader has closed)
+    or "closed"."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     src = str(pathlib.Path(charid.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "charid.cli", *args]
-    run = dict(env=env, stderr=subprocess.PIPE, text=True, timeout=60)
-    if stdout == "closed":
-        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], **run)
-    elif stdout == "full":
+    stream, other = ("stdout", "stderr") if fd == 1 else ("stderr", "stdout")
+    run = {"env": env, other: subprocess.PIPE, "text": True, "timeout": 60}
+    if target == "closed":
+        proc = subprocess.run(["sh", "-c", f'exec "$@" {fd}>&-', "sh", *argv], **run)
+    elif target == "full":
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
         with open("/dev/full", "wb") as full:
-            proc = subprocess.run(argv, stdout=full, **run)
+            proc = subprocess.run(argv, **{stream: full}, **run)
     else:
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = subprocess.run(argv, stdout=write, **run)
+            proc = subprocess.run(argv, **{stream: write}, **run)
         finally:
             os.close(write)
-    return proc.returncode, proc.stderr
+    return proc.returncode, getattr(proc, other)
 
 
 _UNWRITABLE = {
@@ -616,12 +618,42 @@ def test_a_report_that_cannot_be_written_is_one_error_line(t64_fixture, stdout, 
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
-@pytest.mark.parametrize("stdout", ["full", "pipe"])
+@pytest.mark.parametrize("stdout", sorted(_UNWRITABLE))
 def test_a_version_that_cannot_be_written_is_one_error_line(stdout):
-    code, err = _run_cli_into(stdout, ["--version"], unbuffered=False)
-    assert code == EXIT_MISSING_FILE
-    assert err.startswith("charid: error: cannot write report: " + _UNWRITABLE[stdout])
-    assert err.count("\n") == 1
+    # argparse dropped a failed unbuffered write, and wrote to stderr where
+    # stdout was closed: exit 0 both
+    for args in (["--version"], ["--help"], ["analyze", "--help"]):
+        for unbuffered in (True, False):
+            code, err = _run_cli_into(stdout, args, unbuffered)
+            assert code == EXIT_MISSING_FILE, (args, unbuffered)
+            assert err.startswith("charid: error: cannot write report: " + _UNWRITABLE[stdout])
+            assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+def test_a_diagnostic_that_cannot_be_written_keeps_the_exit_code(
+    tmp_path, t64_fixture, stderr, unbuffered
+):
+    # the failed error line made the exit code 120 (buffered) or 1
+    bad = write(tmp_path / "bad.json", "[[")
+    halfmod = write(tmp_path / "h.json", torus_doc([[0.5, 0.5], [1, 0]]))
+    analyze = ["analyze", "--mode", "torus", "--input"]
+    cases = [
+        (analyze + [t64_fixture], EXIT_OK),
+        (["analyze", "--bogus"], EXIT_USAGE),
+        (analyze + [t64_fixture, "--floor", "1.5"], EXIT_USAGE),
+        (analyze + [str(tmp_path / "absent.json")], EXIT_MISSING_FILE),
+        (analyze + [bad], EXIT_MALFORMED),
+        (analyze + [halfmod], EXIT_INVARIANT),
+    ]
+    for args, expected in cases:
+        code, out = _run_cli_into(stderr, args, unbuffered, fd=2)
+        assert code == expected, (args, unbuffered)
+        if expected == EXIT_OK:
+            assert out.startswith('{"verdict":"ExactCharacter"')
+        else:
+            assert out == "", args
 
 
 def test_nul_byte_paths_are_one_error_line(tmp_path):

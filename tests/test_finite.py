@@ -3,6 +3,9 @@
 import functools
 import itertools
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from charid import finite
+from charid import cli, finite
 from charid.finite import (
     ALL_PAIRS_CAP,
     ENUMERATION_CAP,
@@ -765,6 +768,64 @@ def test_failing_worker_raises_in_caller(monkeypatch, failing):
     with pytest.raises(MemoryError, match="worker %d" % failing):
         is_homomorphism_exhaustive(t)
     assert threading.active_count() == before  # every worker was joined
+
+
+@pytest.mark.parametrize("caller_raises", [False, True])
+def test_pool_errors_reach_the_caller_after_every_thread(monkeypatch, caller_raises):
+    # Z_1031 is 9 shares of rows, split between MAX_WORKERS workers.  Every
+    # started share raises KeyboardInterrupt, which reaches the caller; where
+    # the caller's share raises too, after a started one has, the caller's
+    # error wins
+    real = finite._block_worst
+    started_raised = threading.Event()
+
+    def flaky(*args):
+        if threading.current_thread() is not threading.main_thread():
+            started_raised.set()
+            raise KeyboardInterrupt
+        if caller_raises:
+            assert started_raised.wait(60)
+            raise MemoryError("caller")
+        return real(*args)
+
+    monkeypatch.setattr(finite, "_block_worst", flaky)
+    monkeypatch.setattr(finite, "_worker_count", lambda: finite.MAX_WORKERS)
+    values = character_table(FiniteGroupSpec((1031,)), 1).values
+    before = threading.active_count()
+    # caught as BaseException, so that a KeyboardInterrupt in the wrong case
+    # fails this test rather than ending the session
+    with pytest.raises(BaseException) as raised:
+        finite._worst_defect_all_pairs(values)
+    assert raised.type is (MemoryError if caller_raises else KeyboardInterrupt)
+    assert started_raised.is_set()
+    assert threading.active_count() == before  # every thread was joined
+
+
+def test_the_thread_pool_is_imported_only_for_a_threaded_walk(tmp_path):
+    # torus requests and one-block finite tables load neither
+    # concurrent.futures nor the logging module it imports, about 3.5 ms
+    # and 0.6-0.8 MB; forcing two workers keeps a 1-CPU host on the pool
+    torus, z64 = str(tmp_path / "t64.json"), str(tmp_path / "z64.json")
+    for mode, path in (("torus", torus), ("finite", z64)):
+        assert cli.main(["generate", "--mode", mode, "--freq", "5", "--grid", "64",
+                         "--output", path]) == 0
+    script = f"""
+import sys
+import charid.cli
+from charid import finite
+for mode, path in (("torus", {torus!r}), ("finite", {z64!r})):
+    assert charid.cli.main(["analyze", "--mode", mode, "--input", path]) == 0
+print(sorted(name for name in ("concurrent.futures", "logging") if name in sys.modules))
+finite._worker_count = lambda: 2
+assert finite.is_homomorphism_exhaustive(finite.character_table(finite.FiniteGroupSpec((401,)), 1))[0]
+print("concurrent.futures" in sys.modules)
+"""
+    src = str(pathlib.Path(finite.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[]", "True"]
 
 
 def test_workers_keep_the_callers_floating_point_errstate(monkeypatch):
