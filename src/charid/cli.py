@@ -40,7 +40,7 @@ from .finite import (
     is_homomorphism_exhaustive,
 )
 from .fourier import _dft, _peaks
-from .identify import CharacterReport, IdentifyConfig, _verdict, classify
+from .identify import CharacterReport, IdentifyConfig, _report, classify
 from .samples import (
     LineSamples,
     TorusSamples,
@@ -270,6 +270,9 @@ def _parse_csv_input(text: str, mode: str | None, endpoint: complex | None):
         if len(parts) != 3:
             raise InputError(EXIT_MALFORMED, f"csv row needs index,re,im: {r!r}")
         try:
+            # int() and float() also read Unicode digits and "1_0"; JSON does not
+            if not r.isascii() or "_" in r:
+                raise ValueError
             indexed.append((int(parts[0]), complex(float(parts[1]), float(parts[2]))))
         except ValueError:
             raise InputError(EXIT_MALFORMED, f"csv row is not numeric: {r!r}") from None
@@ -334,15 +337,7 @@ def _finite_report(table: CharacterTable, cfg: IdentifyConfig) -> CharacterRepor
     passed, worst = is_homomorphism_exhaustive(table)
     mags = np.abs(_dft(table.values)).ravel() / table.group.size
     peaks = tuple(_peaks(mags, table.group.orders, 5, shifted=False))
-    peak = peaks[0][1]
-    dom = identify_finite(table, cfg.floor)
-    return CharacterReport(
-        verdict=_verdict(dom is not None, peak, passed, cfg),
-        frequency=dom,
-        hom_residual=worst,
-        spectral_peak=peak,
-        peaks=peaks,
-    )
+    return _report(peaks, identify_finite(table, cfg.floor), passed, worst, cfg)
 
 
 def run(args: argparse.Namespace) -> int:
@@ -366,7 +361,8 @@ def run(args: argparse.Namespace) -> int:
     obj = parse_input(args.input, mode=args.mode, endpoint=endpoint)
     rep = _finite_report(obj, cfg) if isinstance(obj, CharacterTable) else classify(obj, cfg)
     report = _report_dict(rep, cfg, args.mode)
-    _write_stdout((_to_json(report) if args.fmt == "json" else _render_text(report)) + "\n")
+    text = _to_json(report) if args.fmt == "json" else _render_text(report)
+    _write_stdout(text + "\n", "report")
     return EXIT_OK
 
 
@@ -386,16 +382,16 @@ def _write(stream, text: str) -> None:
         raise
 
 
-def _write_stdout(text: str) -> None:
-    """Write ``text`` to standard output.  An output that cannot take it
-    (closed, full, or a pipe whose reader has gone) raises InputError with
-    exit 2, as an unwritable ``--output`` does."""
+def _write_stdout(text: str, what: str) -> None:
+    """Write ``text``, the ``what``, to standard output.  An output that
+    cannot take it (closed, full, or a pipe whose reader has gone) raises
+    InputError with exit 2, as an unwritable ``--output`` does."""
     if sys.stdout is None:
-        raise InputError(EXIT_MISSING_FILE, "cannot write report: standard output is closed")
+        raise InputError(EXIT_MISSING_FILE, f"cannot write {what}: standard output is closed")
     try:
         _write(sys.stdout, text)
     except OSError as err:
-        raise InputError(EXIT_MISSING_FILE, f"cannot write report: {err}") from None
+        raise InputError(EXIT_MISSING_FILE, f"cannot write {what}: {err}") from None
 
 
 def _write_stderr(text: str) -> None:
@@ -506,7 +502,7 @@ class _Parser(argparse.ArgumentParser):
     # drop a failed write, and take stderr when stdout is closed
     def _print_message(self, message: str, file=None) -> None:
         if file is sys.stdout:  # None too, when stdout is closed
-            _write_stdout(message)
+            _write_stdout(message, "output")
         else:
             super()._print_message(message, file)
 

@@ -26,7 +26,7 @@ and config (seed included) produce bitwise-identical reports.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -103,9 +103,7 @@ class CharacterReport:
     ``frequency`` is integer-valued in torus mode and real-valued (k + beta
     componentwise) in line mode; absent for ``NotCharacter``.
     ``spectral_peak`` is the largest coefficient magnitude (torus side),
-    ``peaks`` the top five with frequencies.  Line mode also records ``beta``
-    and the admissible alpha window per axis, since aliasing beyond it is
-    undetectable from the data.
+    ``peaks`` the top five with frequencies.  Line mode also records ``beta``.
     """
 
     verdict: Verdict
@@ -114,7 +112,6 @@ class CharacterReport:
     spectral_peak: float
     peaks: tuple[tuple[tuple[int, ...], float], ...]
     beta: tuple[float, ...] | None = None
-    alpha_range: tuple[tuple[float, float], ...] | None = None
 
 
 def homomorphism_residual(s: TorusSamples, trials: int = 256, seed: int = 0) -> float:
@@ -131,19 +128,24 @@ def homomorphism_residual(s: TorusSamples, trials: int = 256, seed: int = 0) -> 
     return _sampled_defect(s.values, pairs)
 
 
-def _verdict(spike: bool, peak: float, law_holds: bool, cfg: IdentifyConfig) -> Verdict:
-    """The one verdict rule, for every domain.
+def _report(
+    peaks: tuple, frequency: tuple | None, law_holds: bool, residual: float, cfg: IdentifyConfig
+) -> CharacterReport:
+    """The one verdict rule, for every domain, and the report it gives.
 
-    Without a dominant ``spike`` the input is ``NotCharacter``.  With one,
-    it is ``ExactCharacter`` when the top magnitude ``peak`` is within
-    ``tau_exact`` of 1 and the multiplicative law holds, and
-    ``ApproxCharacter`` otherwise.
+    Without a ``frequency`` (no dominant spike) the input is
+    ``NotCharacter``.  With one, it is ``ExactCharacter`` when the top
+    magnitude ``peaks[0][1]`` is within ``tau_exact`` of 1 and the
+    multiplicative law holds, and ``ApproxCharacter`` otherwise.
     """
-    if not spike:
-        return Verdict.NOT
-    if peak >= 1.0 - cfg.tau_exact and law_holds:
-        return Verdict.EXACT
-    return Verdict.APPROX
+    peak = peaks[0][1]
+    if frequency is None:
+        verdict = Verdict.NOT
+    elif peak >= 1.0 - cfg.tau_exact and law_holds:
+        verdict = Verdict.EXACT
+    else:
+        verdict = Verdict.APPROX
+    return CharacterReport(verdict, frequency, residual, peak, peaks)
 
 
 def identify_torus(s: TorusSamples, cfg: IdentifyConfig = IdentifyConfig()) -> CharacterReport:
@@ -160,13 +162,7 @@ def identify_torus(s: TorusSamples, cfg: IdentifyConfig = IdentifyConfig()) -> C
     k, peak = peaks[0]
     spike = _dominates(mag, peak, cfg.floor)
     hres = homomorphism_residual(s, cfg.hom_trials, cfg.seed)
-    return CharacterReport(
-        verdict=_verdict(spike, peak, hres <= cfg.tau_exact, cfg),
-        frequency=k if spike else None,
-        hom_residual=hres,
-        spectral_peak=peak,
-        peaks=peaks,
-    )
+    return _report(peaks, k if spike else None, hres <= cfg.tau_exact, hres, cfg)
 
 
 def identify_line(ls: LineSamples, cfg: IdentifyConfig = IdentifyConfig()) -> CharacterReport:
@@ -178,10 +174,8 @@ def identify_line(ls: LineSamples, cfg: IdentifyConfig = IdentifyConfig()) -> Ch
     torus pipeline; its verdict is inherited.  g comes from the formula
     :func:`~charid.samples.sample_character_line` uses, so a non-finite
     beta (a NaN endpoint) raises the same ValueError, and h is built once.
-
-    The true frequency must satisfy |alpha_j - beta_j| < N_j/2 per axis; a
-    violation is undetectable from the data (the integer part wraps), so the
-    admissible window is reported rather than checked.
+    The true alpha_j must lie within N_j/2 of beta_j: a larger one aliases
+    onto that window, undetectably from the data.
     """
     betas = tuple(float(t) / TWO_PI for t in principal_angles(ls.endpoint_values))
     g = _line_values(betas, ls.grid)
@@ -190,16 +184,7 @@ def identify_line(ls: LineSamples, cfg: IdentifyConfig = IdentifyConfig()) -> Ch
     freq = None
     if rep.frequency is not None:
         freq = tuple(kj + bj for kj, bj in zip(rep.frequency, betas))
-    windows = tuple((bj - nj / 2.0, bj + nj / 2.0) for bj, nj in zip(betas, ls.grid))
-    return CharacterReport(
-        verdict=rep.verdict,
-        frequency=freq,
-        hom_residual=rep.hom_residual,
-        spectral_peak=rep.spectral_peak,
-        peaks=rep.peaks,
-        beta=betas,
-        alpha_range=windows,
-    )
+    return replace(rep, frequency=freq, beta=betas)
 
 
 def classify(

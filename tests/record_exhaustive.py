@@ -1,15 +1,20 @@
-"""Record every ``is_homomorphism_exhaustive`` result, to compare two trees bit for bit.
+"""Record every finite check and every report, to compare two trees bit for bit.
 
     PYTHONPATH=src python tests/record_exhaustive.py OUT
 
-wraps ``charid.is_homomorphism_exhaustive`` wherever charid holds it, then
-runs tests/test_finite.py and tests/test_acceptance.py in this process, and
-two lib-finite rounds of ``bench/workloads.py`` on each of seeds 101 and 102.
-OUT gets one line per call, sorted: the group orders, a hash of the table's
-bytes, ``passes`` and ``worst.hex()`` (or the exception the call raised).
-Hypothesis runs derandomized, so two trees draw the same tables, and two
-recordings compare with ``cmp``.  The exit code is 1 when a test or a
-lib-finite request fails.
+wraps ``is_homomorphism_exhaustive``, ``classify`` and ``charid.cli._finite_report``
+wherever charid holds them, then runs tests/test_finite.py,
+tests/test_acceptance.py, tests/test_identify.py and tests/test_cli.py in this
+process, and two lib-finite and two lib-torus rounds of ``bench/workloads.py``
+on each of seeds 101 and 102.  OUT gets one line per call, sorted.  Each line
+names the call and its input: the input's type, shape and a hash of its
+values' bytes (the endpoints' too, for line samples).  A check's line goes on
+with ``passes`` and ``worst.hex()``.  A report's line goes on with the
+verdict, the frequency, ``hom_residual.hex()``, ``spectral_peak.hex()``, the
+peaks with hex magnitudes and beta in hex.  A call that raises records the
+exception's type instead.  Hypothesis runs derandomized, so two trees draw the
+same inputs, and two recordings compare with ``cmp``.  The exit code is 1 when
+a test or a benchmark request fails.
 """
 
 from __future__ import annotations
@@ -23,48 +28,85 @@ import pytest
 from hypothesis import settings
 
 import charid
-import charid.cli  # noqa: F401 - so that its name for the check is wrapped too
-from charid import finite
+import charid.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (101, 102)
+TESTS = ("test_finite.py", "test_acceptance.py", "test_identify.py", "test_cli.py")
 
 
-def _key(t) -> str:
-    data = np.ascontiguousarray(t.values).tobytes()
-    return f"{t.group.orders} {hashlib.sha256(data).hexdigest()[:16]}"
+def _key(obj) -> str:
+    if isinstance(obj, charid.LineSamples):
+        arrays = (obj.base.values, obj.endpoint_values)
+    else:
+        arrays = (getattr(obj, "values", obj),)
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return f"{type(obj).__name__} {np.shape(arrays[0])} {digest.hexdigest()[:16]}"
 
 
-def _wrap(lines: list):
-    """Replace the check by a recording one in every charid module."""
-    real = finite.is_homomorphism_exhaustive
+def _hex(x) -> str:
+    """``x`` with every float in hex, so that equal text means equal bits."""
+    if isinstance(x, (tuple, list)):
+        return "(" + ",".join(map(_hex, x)) + ")"
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    return str(x)
 
-    def recorded(t, *args, **kwargs):
+
+def _check_line(t, result) -> str:
+    passes, worst = result
+    return f"check {_key(t)} {passes} {_hex(worst)}"
+
+
+def _report_line(obj, rep) -> str:
+    fields = (rep.frequency, rep.hom_residual, rep.spectral_peak, rep.peaks, rep.beta)
+    return f"report {_key(obj)} {rep.verdict} " + " ".join(map(_hex, fields))
+
+
+def _recording(real, kind: str, line, lines: list):
+    """``real``, appending ``line(input, result)`` to ``lines`` on each call."""
+
+    def recorded(obj, *args, **kwargs):
         try:
-            passes, worst = result = real(t, *args, **kwargs)
+            result = real(obj, *args, **kwargs)
         except Exception as err:
-            lines.append(f"{_key(t)} raises {type(err).__name__}")
+            lines.append(f"{kind} {_key(obj)} raises {type(err).__name__}")
             raise
-        lines.append(f"{_key(t)} {passes} {float(worst).hex()}")
+        lines.append(line(obj, result))
         return result
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "charid" and getattr(module, "is_homomorphism_exhaustive", None) is real:
-            module.is_homomorphism_exhaustive = recorded
+    return recorded
 
 
-def _lib_finite() -> int:
-    """The failed requests of two lib-finite rounds on each seed."""
+def _wrap(lines: list) -> None:
+    """Replace each recorded function by a recording one in every charid module."""
+    targets = (
+        ("is_homomorphism_exhaustive", charid.is_homomorphism_exhaustive, "check", _check_line),
+        ("classify", charid.classify, "report", _report_line),
+        ("_finite_report", charid.cli._finite_report, "report", _report_line),
+    )
+    for name, real, kind, line in targets:
+        recorded = _recording(real, kind, line, lines)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "charid" and getattr(module, name, None) is real:
+                setattr(module, name, recorded)
+
+
+def _bench_rounds() -> int:
+    """The failed requests of two lib-finite and two lib-torus rounds on each seed."""
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
     failed = 0
-    for seed in SEEDS:
-        runner = workloads.Runner()
-        workloads.lib_finite(runner, workloads.library_api(), rounds=2, seed=seed)
-        for kind, message in runner.failures:
-            print(f"lib-finite seed {seed}: {kind}: {message}", file=sys.stderr)
-        failed += len(runner.failures)
+    for workload in (workloads.lib_finite, workloads.lib_torus):
+        for seed in SEEDS:
+            runner = workloads.Runner()
+            workload(runner, workloads.library_api(), rounds=2, seed=seed)
+            for kind, message in runner.failures:
+                print(f"{workload.__name__} seed {seed}: {kind}: {message}", file=sys.stderr)
+            failed += len(runner.failures)
     return failed
 
 
@@ -76,9 +118,8 @@ def main(argv: list[str]) -> int:
     _wrap(lines)
     settings.register_profile("record", derandomize=True, database=None)
     settings.load_profile("record")
-    tests = [str(ROOT / "tests" / name) for name in ("test_finite.py", "test_acceptance.py")]
-    code = pytest.main(["-q", "-p", "no:cacheprovider", *tests])
-    failed = _lib_finite()
+    code = pytest.main(["-q", "-p", "no:cacheprovider", *(str(ROOT / "tests" / t) for t in TESTS)])
+    failed = _bench_rounds()
     Path(argv[0]).write_text("".join(line + "\n" for line in sorted(lines)))
     print(f"{len(lines)} calls recorded in {argv[0]}")
     return 1 if code or failed else 0

@@ -147,12 +147,19 @@ def test_parse_csv_defects(tmp_path):
         "index,re,im\n0,1,0\n0,1,0\n",  # duplicate index
         "index,re,im\n0,1,0\n2,1,0\n",  # gap
         "index,re,im\n0,one,0\n1,1,0\n",  # not numeric
+        # int() and float() read Unicode digits and underscores, JSON does not
+        "index,re,im\n0,1,0\n\u0661,1,0\n",  # an Arabic-Indic one as the index
+        "index,re,im\n0,1,0\n1,\u0661,0\n",  # ... and as re
+        "index,re,im\n0,1,0\n1_0,1,0\n",  # an underscore in the index
+        "index,re,im\n0,1,0\n1,1_0,0\n",  # ... and in re
     ]
     for i, text in enumerate(bad):
         p = write(tmp_path / f"b{i}.csv", text)
         with pytest.raises(InputError) as err:
             parse_input(p, mode="torus")
         assert err.value.code == EXIT_MALFORMED, text
+        if i >= 4:  # the spellings int() and float() read: the last row is refused
+            assert str(err.value) == f"csv row is not numeric: {text.split()[-1]!r}"
 
 
 def test_parse_csv_line_needs_endpoint(tmp_path):
@@ -419,6 +426,10 @@ def test_config_echo_lists_the_knobs_each_mode_uses(tmp_path, capsys, mode, keys
          ["--mode", "finite"], EXIT_MALFORMED, "factor orders must be >= 1, got (2, -1)"),
         ("z.json", json.dumps({"mode": "torus", "dim": 1, "grid": [0], "values": []}),
          ["--mode", "torus"], EXIT_MALFORMED, "grid counts must all be >= 2, got (0,)"),
+        # an endpoint that is not two numbers is reported before a bad config
+        ("t.json", torus_doc([[1, 0]] * 4), ["--mode", "torus", "--endpoint=a,b",
+                                              "--floor", "2"],
+         EXIT_USAGE, "--endpoint needs two numbers"),
     ],
 )
 def test_competing_errors_report_the_first(tmp_path, capsys, name, text, argv, code,
@@ -451,10 +462,12 @@ _HUGE = 10**400  # a JSON integer no float64 holds
         ("torus", [[True, 0.0], [-1.0, 0.0]], None, "values"),
         ("torus", [[1, 0], [-1, False]], None, "values"),
         ("line", [[1, 0], [1, 0]], [[1.0, False]], "endpoint_values"),
+        # numpy refuses ragged nesting outright
+        ("torus", [[1, 0], [1]], None, "values"),
     ],
     ids=["huge", "huge-endpoint", "2^64", "strings", "booleans",
          "boolean-endpoint", "null", "true-among-floats", "false-among-ints",
-         "boolean-among-endpoint-numbers"],
+         "boolean-among-endpoint-numbers", "ragged"],
 )
 def test_pairs_must_be_json_numbers(tmp_path, capsys, mode, values, endpoints, what):
     doc = {"mode": mode, "dim": 1, "grid": [2], "values": values}
@@ -626,7 +639,7 @@ def test_a_version_that_cannot_be_written_is_one_error_line(stdout):
         for unbuffered in (True, False):
             code, err = _run_cli_into(stdout, args, unbuffered)
             assert code == EXIT_MISSING_FILE, (args, unbuffered)
-            assert err.startswith("charid: error: cannot write report: " + _UNWRITABLE[stdout])
+            assert err.startswith("charid: error: cannot write output: " + _UNWRITABLE[stdout])
             assert err.count("\n") == 1
 
 

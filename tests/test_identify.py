@@ -237,14 +237,6 @@ def test_identify_line_multidim_per_axis_beta():
     assert rep.beta[1] == pytest.approx(0.25, abs=1e-9)
 
 
-def test_identify_line_reports_admissible_window():
-    rep = identify_line(sample_character_line(3.75, 64))
-    (lo, hi) = rep.alpha_range[0]
-    assert lo == pytest.approx(rep.beta[0] - 32.0)
-    assert hi == pytest.approx(rep.beta[0] + 32.0)
-    assert lo < 3.75 < hi
-
-
 def test_identify_line_not_character_keeps_beta():
     rng = np.random.default_rng(21)
     base = TorusSamples((32,), np.exp(1j * rng.uniform(0, 2 * np.pi, 32)))

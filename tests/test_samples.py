@@ -12,6 +12,7 @@ from charid.fourier import FourierSpectrum, coefficient
 from charid.samples import (
     LineSamples,
     TorusSamples,
+    Violation,
     pointwise_div,
     sample_character_line,
     sample_character_torus,
@@ -207,6 +208,14 @@ def test_validate_reports_violations_with_indices():
     assert len(out) == 1
     assert out[0].index == (2, 3)
     assert out[0].deviation == pytest.approx(0.5, abs=1e-12)
+    # line samples: the samples' violations, NaN included, then the endpoints'
+    vals[0, 1] = complex(np.nan, 0.0)
+    out = validate(LineSamples(TorusSamples((4, 4), vals), np.array([2.0, 1j])))
+    assert [(v.where, v.index) for v in out] == [
+        ("values", (0, 1)), ("values", (2, 3)), ("endpoint_values", (0,))
+    ]
+    assert math.isnan(out[0].deviation)
+    assert out[2] == Violation("endpoint_values", (0,), 1.0)
 
 
 def test_validate_flags_non_finite():
