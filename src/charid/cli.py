@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import itertools
 import json
 import math
@@ -134,6 +135,20 @@ def _render_text(report: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # parsing
+
+def _ascii_number(kind: type) -> Callable[[str], int | float]:
+    """``kind`` (int or float) of ASCII text without "_" only: int() and
+    float() also read Unicode digits and "1_0", which JSON does not."""
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        return kind(text)
+    parse.__name__ = kind.__name__  # argparse names the type in its error line
+    return parse
+
+
+_int, _float = _ascii_number(int), _ascii_number(float)
+
 
 def _load_text(path: str) -> str:
     try:
@@ -270,10 +285,7 @@ def _parse_csv_input(text: str, mode: str | None, endpoint: complex | None):
         if len(parts) != 3:
             raise InputError(EXIT_MALFORMED, f"csv row needs index,re,im: {r!r}")
         try:
-            # int() and float() also read Unicode digits and "1_0"; JSON does not
-            if not r.isascii() or "_" in r:
-                raise ValueError
-            indexed.append((int(parts[0]), complex(float(parts[1]), float(parts[2]))))
+            indexed.append((_int(parts[0]), complex(_float(parts[1]), _float(parts[2]))))
         except ValueError:
             raise InputError(EXIT_MALFORMED, f"csv row is not numeric: {r!r}") from None
     indexed.sort()
@@ -521,7 +533,7 @@ def _parse_endpoint(text: str | None) -> complex | None:
     if len(parts) != 2:
         raise InputError(EXIT_USAGE, "--endpoint needs re,im")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(_float(parts[0]), _float(parts[1]))
     except ValueError:
         raise InputError(EXIT_USAGE, "--endpoint needs two numbers") from None
 
@@ -534,11 +546,11 @@ def build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="classify a samples file")
     an.add_argument("--input", required=True, help="JSON or .csv samples file")
     an.add_argument("--mode", required=True, choices=MODES)
-    an.add_argument("--tau-exact", dest="tau_exact", type=float,
+    an.add_argument("--tau-exact", dest="tau_exact", type=_float,
                     default=_DEFAULTS.tau_exact)
-    an.add_argument("--floor", type=float, default=_DEFAULTS.floor)
-    an.add_argument("--trials", type=int, default=_DEFAULTS.hom_trials)
-    an.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    an.add_argument("--floor", type=_float, default=_DEFAULTS.floor)
+    an.add_argument("--trials", type=_int, default=_DEFAULTS.hom_trials)
+    an.add_argument("--seed", type=_int, default=_DEFAULTS.seed)
     an.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
     an.add_argument("--endpoint", default=None,
                     help="re,im endpoint value for 1-D csv line input")
@@ -547,9 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--mode", required=True, choices=MODES)
     gen.add_argument("--freq", required=True, help="comma-separated frequency vector")
     gen.add_argument("--grid", required=True, help="comma-separated axis sample counts")
-    gen.add_argument("--noise", type=float, default=0.0,
+    gen.add_argument("--noise", type=_float, default=0.0,
                      help="phase jitter amplitude in radians")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_int, default=0)
     gen.add_argument("--output", required=True)
     return parser
 
@@ -565,8 +577,8 @@ def main(argv: list[str] | None = None) -> int:
             return run(args)
         generate(
             args.mode,
-            _num_list(args.freq, float, "--freq"),
-            _num_list(args.grid, int, "--grid"),
+            _num_list(args.freq, _float, "--freq"),
+            _num_list(args.grid, _int, "--grid"),
             args.output,
             noise=args.noise,
             seed=args.seed,
@@ -577,5 +589,12 @@ def main(argv: list[str] | None = None) -> int:
         return err.code
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """A ``charid`` process: the imports' objects frozen, the cyclic collector off."""
+    gc.freeze()
+    gc.disable()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

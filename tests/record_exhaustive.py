@@ -1,18 +1,23 @@
-"""Record every finite check and every report, to compare two trees bit for bit.
+"""Record every finite check, report and parse, to compare two trees bit for bit.
 
     PYTHONPATH=src python tests/record_exhaustive.py OUT
 
-wraps ``is_homomorphism_exhaustive``, ``classify`` and ``charid.cli._finite_report``
-wherever charid holds them, then runs tests/test_finite.py,
-tests/test_acceptance.py, tests/test_identify.py and tests/test_cli.py in this
-process, and two lib-finite and two lib-torus rounds of ``bench/workloads.py``
-on each of seeds 101 and 102.  OUT gets one line per call, sorted.  Each line
+wraps ``is_homomorphism_exhaustive``, ``classify``, ``charid.cli._finite_report``
+and ``charid.cli.parse_input`` wherever charid holds them, then runs
+tests/test_finite.py, tests/test_acceptance.py, tests/test_identify.py,
+tests/test_cli.py and tests/test_cli_golden.py in this process, two lib-finite
+and two lib-torus rounds of ``bench/workloads.py`` on each of seeds 101 and
+102, and parses every analyze input of one cli-files round (seed 101), written
+into a temporary directory.  OUT gets one line per call, sorted.  Each line
 names the call and its input: the input's type, shape and a hash of its
 values' bytes (the endpoints' too, for line samples).  A check's line goes on
 with ``passes`` and ``worst.hex()``.  A report's line goes on with the
 verdict, the frequency, ``hom_residual.hex()``, ``spectral_peak.hex()``, the
-peaks with hex magnitudes and beta in hex.  A call that raises records the
-exception's type instead.  Hypothesis runs derandomized, so two trees draw the
+peaks with hex magnitudes and beta in hex.  A parse line starts with a hash
+of the file's bytes and the requested mode and endpoint, and ends with the
+parsed input or, for a refused one, the exit code and message, with the path
+written as ``{path}``.  A call that raises records the exception's type
+instead.  Hypothesis runs derandomized, so two trees draw the
 same inputs, and two recordings compare with ``cmp``.  The exit code is 1 when
 a test or a benchmark request fails.
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +38,8 @@ import charid.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (101, 102)
-TESTS = ("test_finite.py", "test_acceptance.py", "test_identify.py", "test_cli.py")
+TESTS = ("test_finite.py", "test_acceptance.py", "test_identify.py", "test_cli.py",
+         "test_cli_golden.py")
 
 
 def _key(obj) -> str:
@@ -65,6 +72,29 @@ def _report_line(obj, rep) -> str:
     return f"report {_key(obj)} {rep.verdict} " + " ".join(map(_hex, fields))
 
 
+def _file_hash(path) -> str:
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+    except (OSError, ValueError):
+        return "unreadable"
+
+
+def _parse_recording(real, lines: list):
+    """``parse_input``, appending one ``parse`` line to ``lines`` on each call."""
+
+    def recorded(path, mode=None, endpoint=None):
+        head = f"parse {_file_hash(path)} {mode} {_hex(endpoint)}"
+        try:
+            obj = real(path, mode, endpoint)
+        except charid.cli.InputError as err:
+            lines.append(f"{head} exit {err.code} {str(err).replace(str(path), '{path}')}")
+            raise
+        lines.append(f"{head} {_key(obj)}")
+        return obj
+
+    return recorded
+
+
 def _recording(real, kind: str, line, lines: list):
     """``real``, appending ``line(input, result)`` to ``lines`` on each call."""
 
@@ -87,18 +117,27 @@ def _wrap(lines: list) -> None:
         ("classify", charid.classify, "report", _report_line),
         ("_finite_report", charid.cli._finite_report, "report", _report_line),
     )
-    for name, real, kind, line in targets:
-        recorded = _recording(real, kind, line, lines)
+    wrapped = [(name, real, _recording(real, kind, line, lines))
+               for name, real, kind, line in targets]
+    parse = charid.cli.parse_input
+    wrapped.append(("parse_input", parse, _parse_recording(parse, lines)))
+    for name, real, recorded in wrapped:
         for mod_name, module in list(sys.modules.items()):
             if mod_name.split(".")[0] == "charid" and getattr(module, name, None) is real:
                 setattr(module, name, recorded)
 
 
-def _bench_rounds() -> int:
-    """The failed requests of two lib-finite and two lib-torus rounds on each seed."""
+def _workloads():
+    """``bench/workloads.py``, imported as it stands."""
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
+    return workloads
+
+
+def _bench_rounds() -> int:
+    """The failed requests of two lib-finite and two lib-torus rounds on each seed."""
+    workloads = _workloads()
     failed = 0
     for workload in (workloads.lib_finite, workloads.lib_torus):
         for seed in SEEDS:
@@ -108,6 +147,16 @@ def _bench_rounds() -> int:
                 print(f"{workload.__name__} seed {seed}: {kind}: {message}", file=sys.stderr)
             failed += len(runner.failures)
     return failed
+
+
+def _cli_round() -> None:
+    """Parse every analyze input of one cli-files round, in this process."""
+    workloads = _workloads()
+    with tempfile.TemporaryDirectory() as tmp:
+        _, analysed = workloads.cli_plan(np.random.default_rng(SEEDS[0]), Path(tmp))
+        for argv in analysed:
+            args = charid.cli.build_parser().parse_args(argv)
+            charid.cli.parse_input(args.input, args.mode, charid.cli._parse_endpoint(args.endpoint))
 
 
 def main(argv: list[str]) -> int:
@@ -120,6 +169,7 @@ def main(argv: list[str]) -> int:
     settings.load_profile("record")
     code = pytest.main(["-q", "-p", "no:cacheprovider", *(str(ROOT / "tests" / t) for t in TESTS)])
     failed = _bench_rounds()
+    _cli_round()
     Path(argv[0]).write_text("".join(line + "\n" for line in sorted(lines)))
     print(f"{len(lines)} calls recorded in {argv[0]}")
     return 1 if code or failed else 0

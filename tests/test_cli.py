@@ -1,6 +1,7 @@
 """CLI contract: formats, exit codes, round trips, determinism, fuzz."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -337,29 +338,53 @@ def test_exit_codes_through_main(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["analyze", "--input", "torus.json", "--mode", "torus", "--seed", "-1"],
-        ["analyze", "--input", "line.json", "--mode", "line", "--seed", "-1"],
-        ["analyze", "--input", "finite.json", "--mode", "finite", "--seed", "-1"],
-        ["generate", "--mode", "torus", "--freq", "1", "--grid", "8",
-         "--noise", "0.1", "--seed", "-5", "--output", "out.json"],
-        ["generate", "--mode", "torus", "--freq", "1", "--grid", "8",
-         "--noise", "inf", "--output", "out.json"],
-        ["generate", "--mode", "torus", "--freq", "1", "--grid", "8",
-         "--noise", "1e308", "--output", "out.json"],
+        (["analyze", "--input", "torus.json", "--mode", "torus", "--seed", "-1"], None),
+        (["analyze", "--input", "line.json", "--mode", "line", "--seed", "-1"], None),
+        (["analyze", "--input", "finite.json", "--mode", "finite", "--seed", "-1"], None),
+        (["generate", "--mode", "torus", "--freq", "1", "--grid", "8",
+          "--noise", "0.1", "--seed", "-5", "--output", "out.json"], None),
+        (["generate", "--mode", "torus", "--freq", "1", "--grid", "8",
+          "--noise", "inf", "--output", "out.json"], None),
+        (["generate", "--mode", "torus", "--freq", "1", "--grid", "8",
+          "--noise", "1e308", "--output", "out.json"], None),
+        # argv numbers are ASCII without "_": int() and float() read these as
+        # 10, 3, 0.5, 1e-08, 0.1, 1, 64 and 1+0j
+        (["analyze", "--input", "torus.json", "--mode", "torus", "--trials", "1_0"],
+         "argument --trials: invalid int value: '1_0'"),
+        (["analyze", "--input", "torus.json", "--mode", "torus", "--seed", "\u0663"],
+         "argument --seed: invalid int value: '\u0663'"),
+        (["analyze", "--input", "torus.json", "--mode", "torus", "--floor", "\u0660.\u0665"],
+         "argument --floor: invalid float value: '\u0660.\u0665'"),
+        (["analyze", "--input", "torus.json", "--mode", "torus", "--tau-exact", "1_0e-9"],
+         "argument --tau-exact: invalid float value: '1_0e-9'"),
+        (["generate", "--mode", "torus", "--freq", "1", "--grid", "8", "--noise", "0.1_0",
+          "--output", "out.json"],
+         "argument --noise: invalid float value: '0.1_0'"),
+        (["generate", "--mode", "torus", "--freq=\u0661", "--grid=64", "--output", "out.json"],
+         "--freq must be a comma-separated list"),
+        (["generate", "--mode", "torus", "--freq=1", "--grid=6_4", "--output", "out.json"],
+         "--grid must be a comma-separated list"),
+        (["analyze", "--input", "line.csv", "--mode", "line", "--endpoint=\u0661,0"],
+         "--endpoint needs two numbers"),
     ],
+    ids=[f"argv{i}" for i in range(6)]
+    + ["trials", "seed", "floor", "tau-exact", "noise", "freq", "grid", "endpoint"],
 )
-def test_bad_seed_or_noise_is_a_usage_error(tmp_path, capsys, argv):
+def test_bad_seed_or_noise_is_a_usage_error(tmp_path, capsys, argv, message):
     for mode, freq in [("torus", "1"), ("line", "1.5"), ("finite", "1")]:
         main(["generate", "--mode", mode, "--freq", freq, "--grid", "8",
               "--output", str(tmp_path / f"{mode}.json")])
+    main(["generate", "--mode", "line", "--freq", "1.5", "--grid", "8",
+          "--output", str(tmp_path / "line.csv")])
     capsys.readouterr()
-    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv]
     code, out, err = run_main(capsys, argv)
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("charid: error:") and err.count("\n") == 1
+    assert message is None or err == f"charid: error: {message}\n"
     assert not (tmp_path / "out.json").exists()
 
 
@@ -711,6 +736,66 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == EXIT_MISSING_FILE
     assert "error" in proc.stderr
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    assert 'charid = "charid.cli:entry"' in pyproject.read_text(encoding="utf-8").splitlines()
+
+
+def _python(*args, **kwargs):
+    """A fresh interpreter on ``args`` with this charid importable."""
+    src = str(pathlib.Path(charid.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120, **kwargs)
+
+
+def test_the_process_entry_runs_without_the_cyclic_collector():
+    # python -m charid.cli runs the module as __main__, which calls entry()
+    script = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['charid', '--version']\n"
+        "try:\n"
+        "    runpy.run_module('charid.cli', run_name='__main__')\n"
+        "except SystemExit as exit:\n"
+        "    print(exit.code, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    )
+    proc = _python("-c", script)
+    assert (proc.stdout, proc.stderr) == (f"charid {charid.__version__}\n0 False True\n", "")
+
+
+def test_main_in_process_leaves_the_collector_as_it_found_it(t64_fixture, capsys):
+    argvs = [["analyze", "--input", t64_fixture, "--mode", "torus"], ["--version"],
+             ["analyze", "--input", t64_fixture + ".absent", "--mode", "torus"]]
+    enabled = gc.isenabled()
+    try:
+        for collector_on in (True, False):
+            (gc.enable if collector_on else gc.disable)()
+            frozen = gc.get_freeze_count()
+            for argv in argvs:
+                main(argv)
+                assert (gc.isenabled(), gc.get_freeze_count()) == (collector_on, frozen)
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("expected", [EXIT_OK, EXIT_USAGE, EXIT_MISSING_FILE, EXIT_MALFORMED,
+                                      EXIT_INVARIANT])
+def test_each_exit_code_of_a_charid_process(tmp_path, t64_fixture, expected):
+    analyze = ["-m", "charid.cli", "analyze", "--mode", "torus", "--input"]
+    argv = {
+        EXIT_OK: analyze + [t64_fixture],
+        EXIT_USAGE: analyze + [t64_fixture, "--floor", "1.5"],
+        EXIT_MISSING_FILE: analyze + [str(tmp_path / "absent.json")],
+        EXIT_MALFORMED: analyze + [write(tmp_path / "bad.json", "[[")],
+        EXIT_INVARIANT: analyze + [write(tmp_path / "h.json", torus_doc([[0.5, 0.5], [1, 0]]))],
+    }[expected]
+    proc = _python(*argv)
+    assert proc.returncode == expected
+    if expected == EXIT_OK:
+        assert proc.stderr == "" and proc.stdout.startswith('{"verdict":"ExactCharacter"')
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("charid: error: ") and proc.stderr.count("\n") == 1
 
 
 def test_fuzz_parse_input_never_aborts(tmp_path):
@@ -810,7 +895,8 @@ def _argv_numbers():
         st.integers(-3, 12).map(str),
         st.sampled_from(["0", "-0", "1e308", "-1e308", "1e400", "nan", "inf", "-inf",
                          "3000000000", "99999999999", "9" * 30, "-" + "9" * 30, "9" * 5000,
-                         "0.5", "1.5", "-2.5", "1e-320", "", "x", "1,", ",", "0x10"]),
+                         "0.5", "1.5", "-2.5", "1e-320", "", "x", "1,", ",", "0x10",
+                         "1_0", "\u0663", "\u0660.\u0665"]),
         st.floats(allow_nan=True, allow_infinity=True).map(repr),
     )
 

@@ -72,6 +72,21 @@ RAW = {
     "short.json": json.dumps({"mode": "torus", "dim": 1, "grid": [4],
                               "values": [[1, 0]] * 3}),
     "badrow.csv": "index,re,im\n0,1,0\n1,x,0\n",
+    # JSON layouts: every spelling of the same document decodes to the same values
+    "pretty.json": json.dumps({"mode": "torus", "dim": 1, "grid": [4],
+                               "values": [[1, 0], [0, 1], [-1, 0], [0, -1]]}, indent=2),
+    "values_first.json": '{"values":[[1,0],[0,1],[-1,0],[0,-1]],"mode":"torus","dim":1,"grid":[4]}',
+    "dup_values.json": ('{"mode":"torus","dim":1,"grid":[4],"values":[[1,0],[1,0],[1,0],[1,0]],'
+                        '"values":[[1,0],[0,1],[-1,0],[0,-1]]}'),
+    "decoy.json": ('{"meta":{"values":[[1,0]]},"mode":"torus","dim":1,"grid":[4],'
+                   '"values":[[1,0],[0,-1],[-1,0],[0,1]]}'),
+    "escaped_key.json": '{"mode":"torus","dim":1,"grid":[4],"val\\u0075es":[[1,0],[0,1],[-1,0],[0,-1]]}',
+    "spellings.json": '{"mode":"finite","dim":1,"grid":[2],"values":[[1E+0,-0],[-1.0e0,0.0]]}',
+    "int_pairs.json": '{"mode":"finite","dim":1,"grid":[4],"values":[[1,0],[0,1],[-1,0],[0,-1]]}',
+    "outside_pair.json": '{"mode":"torus","dim":1,"grid":[2],"values":[5[1,0],[1,0]]}',
+    "nan_pair.json": '{"mode":"torus","dim":1,"grid":[2],"values":[[1,0],[NaN,0]]}',
+    "true_pair.json": '{"mode":"torus","dim":1,"grid":[2],"values":[[1,0],[true,0]]}',
+    "short_compact.json": '{"mode":"torus","dim":1,"grid":[4],"values":[[1,0],[0,1],[-1,0]]}',
 }
 
 
@@ -115,6 +130,17 @@ CASES = {
     "csv_line_no_endpoint": _analyze("t16.csv", "line"),
     "short_values": _analyze("short.json", "torus"),
     "bad_csv_row": _analyze("badrow.csv", "torus"),
+    "json_pretty": _analyze("pretty.json", "torus"),
+    "json_values_first": _analyze("values_first.json", "torus"),
+    "json_duplicate_values": _analyze("dup_values.json", "torus"),
+    "json_nested_decoy": _analyze("decoy.json", "torus"),
+    "json_escaped_key": _analyze("escaped_key.json", "torus"),
+    "json_number_spellings": _analyze("spellings.json", "finite"),
+    "json_integer_pairs": _analyze("int_pairs.json", "finite"),
+    "json_number_outside_pair": _analyze("outside_pair.json", "torus"),
+    "json_nan_pair": _analyze("nan_pair.json", "torus"),
+    "json_true_pair": _analyze("true_pair.json", "torus"),
+    "json_one_pair_short": _analyze("short_compact.json", "torus"),
     "mode_mismatch": _analyze("t64.json", "line"),
     "missing_file": _analyze("absent.json", "torus"),
     "missing_file_text": _analyze("absent.csv", "finite", "--format", "text"),
@@ -372,6 +398,61 @@ GOLDEN = {
         0,
         'verdict: "ExactCharacter"\nfrequency: [5]\nhom_residual: 2.2037297810228127e-15\nspectral_peak: 0.99999999999999933\npeaks:\n  [5]: 0.99999999999999933\n  [13054]: 1.0776392031599948e-16\n  [52493]: 6.8729089005136008e-17\n  [39298]: 6.8674414753303075e-17\n  [10]: 6.4565641903548275e-17\nconfig: {"mode":"finite","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002}\n',
         '',
+    ),
+    'json_pretty': (
+        0,
+        '{"verdict":"ExactCharacter","frequency":[1],"hom_residual":0,"spectral_peak":1,"peaks":[[[1],1],[[-2],0],[[-1],0],[[0],0]],"config":{"mode":"torus","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002,"hom_trials":256,"seed":0}}\n',
+        '',
+    ),
+    'json_values_first': (
+        0,
+        '{"verdict":"ExactCharacter","frequency":[1],"hom_residual":0,"spectral_peak":1,"peaks":[[[1],1],[[-2],0],[[-1],0],[[0],0]],"config":{"mode":"torus","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002,"hom_trials":256,"seed":0}}\n',
+        '',
+    ),
+    'json_duplicate_values': (
+        0,
+        '{"verdict":"ExactCharacter","frequency":[1],"hom_residual":0,"spectral_peak":1,"peaks":[[[1],1],[[-2],0],[[-1],0],[[0],0]],"config":{"mode":"torus","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002,"hom_trials":256,"seed":0}}\n',
+        '',
+    ),
+    'json_nested_decoy': (
+        0,
+        '{"verdict":"ExactCharacter","frequency":[-1],"hom_residual":0,"spectral_peak":1,"peaks":[[[-1],1],[[-2],0],[[0],0],[[1],0]],"config":{"mode":"torus","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002,"hom_trials":256,"seed":0}}\n',
+        '',
+    ),
+    'json_escaped_key': (
+        0,
+        '{"verdict":"ExactCharacter","frequency":[1],"hom_residual":0,"spectral_peak":1,"peaks":[[[1],1],[[-2],0],[[-1],0],[[0],0]],"config":{"mode":"torus","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002,"hom_trials":256,"seed":0}}\n',
+        '',
+    ),
+    'json_number_spellings': (
+        0,
+        '{"verdict":"ExactCharacter","frequency":[1],"hom_residual":0,"spectral_peak":1,"peaks":[[[1],1],[[0],0]],"config":{"mode":"finite","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002}}\n',
+        '',
+    ),
+    'json_integer_pairs': (
+        0,
+        '{"verdict":"ExactCharacter","frequency":[1],"hom_residual":0,"spectral_peak":1,"peaks":[[[1],1],[[0],0],[[2],0],[[3],0]],"config":{"mode":"finite","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002}}\n',
+        '',
+    ),
+    'json_number_outside_pair': (
+        3,
+        '',
+        'charid: error: input is not valid JSON\n',
+    ),
+    'json_nan_pair': (
+        4,
+        '',
+        'charid: error: values violate unit modulus at 1 point(s); first at index (1,) with deviation nan\n',
+    ),
+    'json_true_pair': (
+        3,
+        '',
+        'charid: error: values must be an array of [re, im] number pairs\n',
+    ),
+    'json_one_pair_short': (
+        3,
+        '',
+        'charid: error: values has 3 entries, expected 4\n',
     ),
 }
 
