@@ -184,7 +184,9 @@ def _pairs_to_complex(field, count: int, what: str) -> np.ndarray:
         raise InputError(EXIT_MALFORMED, f"{what} entries must be [re, im] pairs")
     if bool in set(map(type, itertools.chain.from_iterable(field))):
         raise not_numbers
-    return arr[:, 0] + 1j * arr[:, 1]
+    # 1j * inf is nan+infj, with a warning; the unit check reports that value
+    with np.errstate(invalid="ignore"):
+        return arr[:, 0] + 1j * arr[:, 1]
 
 
 def _check_unit(values: np.ndarray, what: str) -> None:
@@ -202,31 +204,31 @@ def _check_unit(values: np.ndarray, what: str) -> None:
 def _build(
     mode: str,
     grid: tuple[int, ...],
-    values: np.ndarray,
+    values: Callable[[], np.ndarray],
     endpoints: Callable[[], np.ndarray],
     ep_name: str,
 ):
     """Construct the container ``mode`` names and check its unit invariant.
 
-    ``endpoints()`` gives the line-mode endpoint values; it is called only
-    once the samples are built, so a bad grid is reported before missing or
-    malformed endpoints.  Shape errors come before unit violations, and the
-    samples' violations before those of the endpoints (named ``ep_name``).
+    ``values()`` and ``endpoints()`` give the samples and the line-mode
+    endpoint values; each is called only once what comes before it is
+    checked, so a bad grid is reported before malformed values, and those
+    before missing or malformed endpoints.  Shape errors come before unit
+    violations, and the samples' violations before those of the endpoints
+    (named ``ep_name``).
     """
     try:
         if mode == "finite":
-            obj = CharacterTable(FiniteGroupSpec(grid), values)
+            obj = CharacterTable(FiniteGroupSpec(grid), values())
         else:
-            obj = TorusSamples(grid, values)
+            obj = TorusSamples(_as_grid(grid), values())
             if mode == "line":
                 obj = LineSamples(obj, endpoints())
     except ValueError as err:
         raise InputError(EXIT_MALFORMED, str(err)) from None
-    if mode == "line":
-        _check_unit(obj.base.values, "values")
-        _check_unit(obj.endpoint_values, ep_name)
-    else:
-        _check_unit(obj.values, "values")
+    arrays = (obj.base.values, obj.endpoint_values) if mode == "line" else (obj.values,)
+    for what, arr in zip(("values", ep_name), arrays):
+        _check_unit(arr, what)
     return obj
 
 
@@ -255,20 +257,10 @@ def _parse_json_input(text: str, mode: str | None):
     if isinstance(dim, bool) or not isinstance(dim, int) or dim != len(grid):
         raise InputError(EXIT_MALFORMED, f"dim must equal len(grid) = {len(grid)}")
 
-    grid = tuple(grid)
-    try:
-        # the container's own grid check, before the grid sizes ``values``
-        if declared == "finite":
-            FiniteGroupSpec(grid)
-        else:
-            _as_grid(grid)
-    except ValueError as err:
-        raise InputError(EXIT_MALFORMED, str(err)) from None
-    values = _pairs_to_complex(data.get("values"), math.prod(grid), "values")
     return _build(
         declared,
-        grid,
-        values,
+        tuple(grid),
+        lambda: _pairs_to_complex(data.get("values"), math.prod(grid), "values"),
         lambda: _pairs_to_complex(data.get("endpoint_values"), dim, "endpoint_values"),
         "endpoint_values",
     )
@@ -288,7 +280,7 @@ def _parse_csv_input(text: str, mode: str | None, endpoint: complex | None):
             indexed.append((_int(parts[0]), complex(_float(parts[1]), _float(parts[2]))))
         except ValueError:
             raise InputError(EXIT_MALFORMED, f"csv row is not numeric: {r!r}") from None
-    indexed.sort()
+    indexed.sort(key=lambda row: row[0])  # complex values do not order
     if [i for i, _ in indexed] != list(range(len(indexed))):
         raise InputError(EXIT_MALFORMED, "csv indices must cover 0..N-1 exactly once")
     values = np.array([v for _, v in indexed], dtype=np.complex128)
@@ -299,7 +291,7 @@ def _parse_csv_input(text: str, mode: str | None, endpoint: complex | None):
         return np.array([endpoint], dtype=np.complex128)
 
     effective = mode if mode is not None else ("line" if endpoint is not None else "torus")
-    return _build(effective, (len(values),), values, endpoints, "endpoint")
+    return _build(effective, (len(values),), lambda: values, endpoints, "endpoint")
 
 
 def parse_input(

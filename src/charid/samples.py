@@ -283,15 +283,11 @@ def validate(s: Union[TorusSamples, LineSamples]) -> list[Violation]:
     invariants hold).  Structural invariants are enforced at construction, so
     only the modulus can be wrong here.
     """
-    if isinstance(s, LineSamples):
-        out = validate(s.base)
-        dev = unit_deviation(s.endpoint_values)
-        for (j,) in np.argwhere(~(dev <= UNIT_TOL)):
-            out.append(Violation("endpoint_values", (int(j),), float(dev[j])))
-        return out
-    dev = unit_deviation(s.values)
-    # ~(dev <= UNIT_TOL) rather than dev > UNIT_TOL so NaN values are flagged too
-    return [
-        Violation("values", tuple(int(i) for i in idx), float(dev[tuple(idx)]))
-        for idx in np.argwhere(~(dev <= UNIT_TOL))
-    ]
+    arrays = (s.base.values, s.endpoint_values) if isinstance(s, LineSamples) else (s.values,)
+    out = []
+    for where, arr in zip(("values", "endpoint_values"), arrays):
+        dev = unit_deviation(arr)
+        # ~(dev <= UNIT_TOL) rather than dev > UNIT_TOL so NaN values are flagged too
+        out += [Violation(where, tuple(int(i) for i in idx), float(dev[tuple(idx)]))
+                for idx in np.argwhere(~(dev <= UNIT_TOL))]
+    return out

@@ -2,24 +2,27 @@
 
     PYTHONPATH=src python tests/record_exhaustive.py OUT
 
-wraps ``is_homomorphism_exhaustive``, ``classify``, ``charid.cli._finite_report``
-and ``charid.cli.parse_input`` wherever charid holds them, then runs
-tests/test_finite.py, tests/test_acceptance.py, tests/test_identify.py,
-tests/test_cli.py and tests/test_cli_golden.py in this process, two lib-finite
-and two lib-torus rounds of ``bench/workloads.py`` on each of seeds 101 and
-102, and parses every analyze input of one cli-files round (seed 101), written
-into a temporary directory.  OUT gets one line per call, sorted.  Each line
-names the call and its input: the input's type, shape and a hash of its
+wraps ``is_homomorphism_exhaustive``, ``classify``,
+``charid.cli._finite_report``, ``charid.cli.parse_input`` and ``validate``
+wherever charid holds them, then runs tests/test_finite.py,
+tests/test_acceptance.py, tests/test_identify.py, tests/test_cli.py,
+tests/test_cli_golden.py and tests/test_samples.py in this process, two
+lib-finite and two lib-torus rounds of ``bench/workloads.py`` on each of seeds
+101 and 102, and parses every analyze input of one cli-files round (seed 101),
+written into a temporary directory.  OUT gets one line per call, sorted.  Each
+line names the call and its input: the input's type, shape and a hash of its
 values' bytes (the endpoints' too, for line samples).  A check's line goes on
-with ``passes`` and ``worst.hex()``.  A report's line goes on with the
-verdict, the frequency, ``hom_residual.hex()``, ``spectral_peak.hex()``, the
-peaks with hex magnitudes and beta in hex.  A parse line starts with a hash
-of the file's bytes and the requested mode and endpoint, and ends with the
-parsed input or, for a refused one, the exit code and message, with the path
-written as ``{path}``.  A call that raises records the exception's type
-instead.  Hypothesis runs derandomized, so two trees draw the
-same inputs, and two recordings compare with ``cmp``.  The exit code is 1 when
-a test or a benchmark request fails.
+with ``passes`` and ``worst.hex()``.  A report's line goes on with the verdict,
+the frequency, ``hom_residual.hex()``, ``spectral_peak.hex()``, the peaks with
+hex magnitudes and beta in hex.  A validate line goes on with each violation's
+``where``, index and deviation in hex; a call made inside another call of the
+same function is not recorded, so a function that recurses records as one that
+loops.  A parse line starts with a hash of the file's bytes and the requested
+mode and endpoint, and ends with the parsed input or, for a refused one, the
+exit code and message, with the path written as ``{path}``.  A call that raises
+records the exception's type instead.  Hypothesis runs derandomized, so two
+trees draw the same inputs, and two recordings compare with ``cmp``.  The exit
+code is 1 when a test or a benchmark request fails.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import charid.cli
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (101, 102)
 TESTS = ("test_finite.py", "test_acceptance.py", "test_identify.py", "test_cli.py",
-         "test_cli_golden.py")
+         "test_cli_golden.py", "test_samples.py")
 
 
 def _key(obj) -> str:
@@ -72,6 +75,12 @@ def _report_line(obj, rep) -> str:
     return f"report {_key(obj)} {rep.verdict} " + " ".join(map(_hex, fields))
 
 
+def _validate_line(s, violations) -> str:
+    return f"validate {_key(s)} " + " ".join(
+        f"{v.where} {_hex(v.index)} {_hex(v.deviation)}" for v in violations
+    )
+
+
 def _file_hash(path) -> str:
     try:
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
@@ -96,15 +105,22 @@ def _parse_recording(real, lines: list):
 
 
 def _recording(real, kind: str, line, lines: list):
-    """``real``, appending ``line(input, result)`` to ``lines`` on each call."""
+    """``real``, appending ``line(input, result)`` to ``lines`` on each call
+    that no other call of ``real`` encloses."""
+    depth = [0]
 
     def recorded(obj, *args, **kwargs):
+        depth[0] += 1
         try:
             result = real(obj, *args, **kwargs)
         except Exception as err:
-            lines.append(f"{kind} {_key(obj)} raises {type(err).__name__}")
+            if depth[0] == 1:
+                lines.append(f"{kind} {_key(obj)} raises {type(err).__name__}")
             raise
-        lines.append(line(obj, result))
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            lines.append(line(obj, result))
         return result
 
     return recorded
@@ -116,6 +132,7 @@ def _wrap(lines: list) -> None:
         ("is_homomorphism_exhaustive", charid.is_homomorphism_exhaustive, "check", _check_line),
         ("classify", charid.classify, "report", _report_line),
         ("_finite_report", charid.cli._finite_report, "report", _report_line),
+        ("validate", charid.validate, "validate", _validate_line),
     )
     wrapped = [(name, real, _recording(real, kind, line, lines))
                for name, real, kind, line in targets]

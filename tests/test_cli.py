@@ -146,6 +146,7 @@ def test_parse_csv_defects(tmp_path):
     bad = [
         "index,re,im\n0,1\n",  # wrong arity
         "index,re,im\n0,1,0\n0,1,0\n",  # duplicate index
+        "index,re,im\n0,1,0\n0,0,1\n",  # ... with different values, which do not order
         "index,re,im\n0,1,0\n2,1,0\n",  # gap
         "index,re,im\n0,one,0\n1,1,0\n",  # not numeric
         # int() and float() read Unicode digits and underscores, JSON does not
@@ -159,7 +160,9 @@ def test_parse_csv_defects(tmp_path):
         with pytest.raises(InputError) as err:
             parse_input(p, mode="torus")
         assert err.value.code == EXIT_MALFORMED, text
-        if i >= 4:  # the spellings int() and float() read: the last row is refused
+        if i in (1, 2, 3):
+            assert str(err.value) == "csv indices must cover 0..N-1 exactly once"
+        if i >= 5:  # the spellings int() and float() read: the last row is refused
             assert str(err.value) == f"csv row is not numeric: {text.split()[-1]!r}"
 
 
@@ -503,6 +506,22 @@ def test_pairs_must_be_json_numbers(tmp_path, capsys, mode, values, endpoints, w
     assert code == EXIT_MALFORMED
     assert out == ""
     assert err == f"charid: error: {what} must be an array of [re, im] number pairs\n"
+
+
+@pytest.mark.parametrize("spelling", ["1e400", "Infinity"])
+@pytest.mark.parametrize("what", ["values", "endpoint_values"])
+def test_an_infinite_im_is_one_unit_error_line(tmp_path, what, spelling):
+    # 1j * inf made numpy print a RuntimeWarning before the error line
+    pairs = {"values": "[[1,0],[1,0]]", "endpoint_values": "[[1,0]]"}
+    pairs[what] = pairs[what].replace("[1,0]]", f"[0,{spelling}]]")
+    doc = ('{"mode":"line","dim":1,"grid":[2],"values":%s,"endpoint_values":%s}'
+           % (pairs["values"], pairs["endpoint_values"]))
+    path = write(tmp_path / "inf.json", doc)
+    code, out, err = _run_quietly(["analyze", "--input", path, "--mode", "line"])
+    assert (code, out) == (EXIT_INVARIANT, "")
+    index = "(1,)" if what == "values" else "(0,)"
+    assert err == (f"charid: error: {what} violate unit modulus at 1 point(s); first at "
+                   f"index {index} with deviation inf\n")
 
 
 def test_one_axis_finite_dft_is_fftn_bitwise(monkeypatch):
@@ -988,6 +1007,64 @@ def test_hostile_argv_keeps_the_exit_code_contract(argv_files, data):
     event(f"exit {code}")
     assert "Traceback" not in err
     if code == 0:
+        assert err == ""
+    else:
+        _assert_one_error_line(code, out, err)
+
+
+# -- hostile file contents -----------------------------------------------------------
+
+#: JSON spellings of a pair's fields, special ones among them; a CSV field
+#: takes the same text
+_FIELDS = ["0", "-0.0", "1", "-1", "1e400", "-1e400", "NaN", "Infinity"]
+
+
+@st.composite
+def _pairs(draw, count):
+    """``count`` [re, im] field pairs, mostly on the unit circle."""
+    unit = st.sampled_from([("1", "0"), ("-1", "-0.0"), ("0", "1"), ("-0.0", "-1")])
+    hostile = st.tuples(st.sampled_from(_FIELDS), st.sampled_from(_FIELDS))
+    return draw(st.lists(unit | unit | hostile, min_size=count, max_size=count))
+
+
+@st.composite
+def _hostile_content(draw):
+    """(file name, contents, mode): a CSV table whose indices may repeat and
+    skip, or a JSON torus, line or finite document whose ``values`` and
+    ``endpoint_values`` may be one pair short or long."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 5))
+        indices = draw(st.permutations(range(n)) | st.lists(st.integers(0, n), max_size=n + 1))
+        rows = [f"{i},{re},{im}" for i, (re, im) in zip(indices, draw(_pairs(len(indices))))]
+        text = "index,re,im\n" + "".join(r + "\n" for r in rows)
+        return "c.csv", text, draw(st.sampled_from(["torus", "finite"]))
+    mode = draw(st.sampled_from(["torus", "line", "finite"]))
+    grid = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+
+    def array(count):
+        count += draw(st.sampled_from([0, 0, 0, -1, 1]))
+        return "[" + ",".join(f"[{re},{im}]" for re, im in draw(_pairs(max(count, 0)))) + "]"
+
+    doc = f'{{"mode":"{mode}","dim":{len(grid)},"grid":{grid},"values":{array(math.prod(grid))}'
+    if mode == "line":
+        doc += f',"endpoint_values":{array(len(grid))}'
+    return f"{mode}.json", doc + "}", mode
+
+
+@pytest.fixture(scope="module")
+def content_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("content")
+
+
+@given(content=_hostile_content())
+@settings(deadline=None, max_examples=200)
+def test_hostile_contents_keep_the_exit_code_contract(content_dir, content):
+    name, text, mode = content
+    path = write(content_dir / name, text)
+    code, out, err = _run_quietly(["analyze", "--input", path, "--mode", mode])
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_MALFORMED, EXIT_INVARIANT)
+    if code == EXIT_OK:
         assert err == ""
     else:
         _assert_one_error_line(code, out, err)

@@ -87,6 +87,14 @@ RAW = {
     "nan_pair.json": '{"mode":"torus","dim":1,"grid":[2],"values":[[1,0],[NaN,0]]}',
     "true_pair.json": '{"mode":"torus","dim":1,"grid":[2],"values":[[1,0],[true,0]]}',
     "short_compact.json": '{"mode":"torus","dim":1,"grid":[4],"values":[[1,0],[0,1],[-1,0]]}',
+    # check order: the grid, then values, then endpoint_values; shape errors
+    # before unit violations
+    "grid1_bad_values.json": '{"mode":"torus","dim":1,"grid":[1],"values":"x"}',
+    "finite_grid0.json": '{"mode":"finite","dim":1,"grid":[0],"values":"x"}',
+    "line_short_noep.json": '{"mode":"line","dim":1,"grid":[4],"values":[[1,0]]}',
+    "line_nonunit_bad_ep.json": ('{"mode":"line","dim":1,"grid":[2],"values":[[1,0],[0.5,0]],'
+                                 '"endpoint_values":"x"}'),
+    "one_row.csv": "index,re,im\n0,1,0\n",
 }
 
 
@@ -141,6 +149,11 @@ CASES = {
     "json_nan_pair": _analyze("nan_pair.json", "torus"),
     "json_true_pair": _analyze("true_pair.json", "torus"),
     "json_one_pair_short": _analyze("short_compact.json", "torus"),
+    "grid_before_values": _analyze("grid1_bad_values.json", "torus"),
+    "finite_grid_before_values": _analyze("finite_grid0.json", "finite"),
+    "values_before_endpoints": _analyze("line_short_noep.json", "line"),
+    "endpoint_shape_before_unit": _analyze("line_nonunit_bad_ep.json", "line"),
+    "csv_one_row": _analyze("one_row.csv", "torus"),
     "mode_mismatch": _analyze("t64.json", "line"),
     "missing_file": _analyze("absent.json", "torus"),
     "missing_file_text": _analyze("absent.csv", "finite", "--format", "text"),
@@ -453,6 +466,31 @@ GOLDEN = {
         3,
         '',
         'charid: error: values has 3 entries, expected 4\n',
+    ),
+    'grid_before_values': (
+        3,
+        '',
+        'charid: error: grid counts must all be >= 2, got (1,)\n',
+    ),
+    'finite_grid_before_values': (
+        3,
+        '',
+        'charid: error: factor orders must be >= 1, got (0,)\n',
+    ),
+    'values_before_endpoints': (
+        3,
+        '',
+        'charid: error: values has 1 entries, expected 4\n',
+    ),
+    'endpoint_shape_before_unit': (
+        3,
+        '',
+        'charid: error: endpoint_values must be an array of [re, im] pairs\n',
+    ),
+    'csv_one_row': (
+        3,
+        '',
+        'charid: error: grid counts must all be >= 2, got (1,)\n',
     ),
 }
 
