@@ -192,11 +192,12 @@ def _worst_defect_all_pairs(values: np.ndarray, full_window: bool = False) -> fl
     operands are contiguous runs of about |G|/2 (or |G|) on every group
     shape.
 
-    The copies R(a') are made for one box of a' values at a time, at most
-    BLOCK_PAIRS pairs' worth (or a single a'); where one copy is more, its
-    rows a0 go in blocks of BLOCK_PAIRS pairs (or one row, about |G|/2
-    pairs).  On a cyclic group a' is empty and R() is the table tripled,
-    with no copy made.
+    The copies R(a') are made for every a' at once in a table of one block,
+    and otherwise for one box of a' values at a time, at most BLOCK_PAIRS
+    pairs' worth (or a single a'); where one copy is more, its rows a0 go
+    in blocks of BLOCK_PAIRS pairs (or one row, about |G|/2 pairs).  On a
+    cyclic group a' is empty and R() is the table tripled, with no copy
+    made.
 
     A table of up to about 360 elements is a single block, checked in the
     calling thread.  Larger ones are split into _worker_count() shares: the
@@ -211,18 +212,33 @@ def _worst_defect_all_pairs(values: np.ndarray, full_window: bool = False) -> fl
     and the lowest share's exception, if any, is raised in the caller.
     """
     longest = values.shape.index(max(values.shape))
-    if longest:
-        values = np.ascontiguousarray(values.swapaxes(0, longest))
-    n0, rest, size = values.shape[0], values.shape[1:], values.size
+    moved = values.swapaxes(0, longest)
+    n0, rest, size = moved.shape[0], moved.shape[1:], values.size
     m = size // n0
     run = (n0 if full_window else n0 // 2 + 1) * m
+    dt, item = values.dtype, values.itemsize
+    plane, row = 3 * size * item, m * item
+    if n0 * m * run <= BLOCK_PAIRS:  # one block
+        ext = np.ascontiguousarray(values)
+        for ax in range(values.ndim):
+            ext = ext if ax == longest else np.concatenate([ext] * 2, axis=ax)
+        st = ext.swapaxes(0, longest).strides
+        # every R(a') in one copy, a 0 stride tripling the walk's axis
+        view = np.ndarray(rest + (3, n0) + rest, dt, ext, 0, st[1:] + (0,) + st)
+        copies = np.ascontiguousarray(view)
+        worst = _block_worst(
+            np.ndarray((m, n0, 1), dt, copies, 0, (plane, row, item)),
+            np.ndarray((n0, run), dt, copies, 0, (row, item)),  # R(0)
+            np.ndarray((m, n0, run), dt, copies, 0, (plane, 2 * row, item)),
+        )
+        return math.nan if math.isnan(worst) else math.sqrt(worst)  # every route gives math.nan
+    values = np.ascontiguousarray(moved)
     base = ext = np.concatenate([values] * 3)  # R(0)
     for ax in range(1, values.ndim):
         ext = np.concatenate([ext] * 2, axis=ax)
     # rolled[a'] = R(a'): rolled[a'][x0, x'] = ext[x0, x' + a'], x0 < 3 N0
-    st, dt, item = ext.strides, ext.dtype, ext.itemsize
+    st = ext.strides
     rolled = np.ndarray(rest + (3 * n0,) + rest, dt, ext, 0, st[1:] + st)
-    plane, row = 3 * size * item, m * item
     budget = max(1, BLOCK_PAIRS // (n0 * run))
     boxes = _boxes(rest, budget)
 
@@ -256,8 +272,6 @@ def _worst_defect_all_pairs(values: np.ndarray, full_window: bool = False) -> fl
                 worst = max(worst, block_worst)
         return worst
 
-    if n0 * m * run <= BLOCK_PAIRS:  # one block
-        return math.sqrt(share_worst(boxes, 0, 1))
     from concurrent.futures import ThreadPoolExecutor
 
     one_box = len(boxes) == 1  # then m is 1
@@ -399,28 +413,28 @@ def _all_pairs_worst(values: np.ndarray) -> float:
     """_worst_defect_all_pairs(values), bit for bit, from as few pairs as
     this module can certify.
 
-    A table of one block is walked as it is.  A larger one that repeats
-    along some axis, with least periods p_j (see _periods) not all N_j, has
-    its tile values[:p_1, ..., :p_m] walked instead, as a table on the
-    quotient group.  A pair's defect depends only on the bits of t(a), t(b)
-    and t(a+b), which are the tile's at a, b and a+b reduced mod p, and the
-    walk's max is exact.  Where the walk's axis L keeps its length, it
-    stays the tile's first longest axis, and the half window's pairs map
-    onto the tile's own.  Where L is cut, p_L <= N_L / 2, so the
-    N_L//2 + 1 consecutive offsets of the half window reach every residue
-    mod p_L, and the walk reaches every ordered pair of the quotient: the
-    tile is walked with the full window, which takes each of them once.
-    numpy rounds a product whose operands broadcast to a single element
-    apart from the same product in a longer block, so a constant table's
-    tile is widened to the least prime of N_L along L.  Any other table is
-    offered to the certificate (see _certified_worst) and walked where that
-    declines.
+    A table of one block is walked with its order-1 axes dropped, over the
+    same pairs, operands and operand order.  A larger one that repeats along
+    some axis, with least periods p_j (see _periods) not all N_j, has its tile
+    values[:p_1, ..., :p_m] walked instead, as a table on the quotient group.
+    A pair's defect depends only on the bits of t(a), t(b) and t(a+b), which
+    are the tile's at a, b and a+b reduced mod p, and the walk's max is exact.
+    Where the walk's axis L keeps its length, it stays the tile's first
+    longest axis, and the half window's pairs map onto the tile's own.  Where
+    L is cut, p_L <= N_L / 2, so the N_L//2 + 1 consecutive offsets of the
+    half window reach every residue mod p_L, and the walk reaches every
+    ordered pair of the quotient: the tile is walked with the full window,
+    which takes each of them once.  numpy rounds a product whose operands
+    broadcast to a single element apart from the same product in a longer
+    block, so a constant table's tile is widened to the least prime of N_L
+    along L.  Any other table is offered to the certificate (see
+    _certified_worst) and walked where that declines.
     """
     shape = values.shape
     n0 = max(shape)
     longest, m = shape.index(n0), values.size // n0
     if n0 * m * (n0 // 2 + 1) * m <= BLOCK_PAIRS:  # one block
-        return _worst_defect_all_pairs(values)
+        return _worst_defect_all_pairs(values.reshape([n for n in shape if n > 1] or [1]))
     periods = _periods(values)
     if math.prod(periods) == 1:  # a constant table
         periods = tuple(_prime_factors(n0)[0] if j == longest else 1 for j in range(len(shape)))
@@ -501,12 +515,16 @@ def identify_finite(
     """
     _check_floor(floor)
     mags = np.abs(_dft(t.values)) / t.group.size
-    flat = int(np.argmax(mags))
+    flat = int(mags.argmax())
     peak = float(mags.flat[flat])
     # NaN never compares below the floor, so test for acceptance instead
     if not (math.isfinite(peak) and peak >= floor):
         return None
-    return tuple(int(i) for i in np.unravel_index(flat, t.group.orders))
+    k = []
+    for n in reversed(t.group.orders):
+        flat, i = divmod(flat, n)
+        k.append(i)
+    return tuple(reversed(k))
 
 
 def identify_finite_brute(

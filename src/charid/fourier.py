@@ -34,7 +34,7 @@ from itertools import product
 import numpy as np
 
 from .circle import character_values
-from .samples import IntVector, TorusSamples, _adopt, _as_vector, _freeze, shift_samples
+from .samples import IntVector, TorusSamples, _adopt, _as_vector, _freeze
 
 #: Default magnitude a coefficient must reach to count as dominant.  Parseval
 #: then caps any second coefficient at sqrt(1 - 0.81) ~ 0.436, so the spike
@@ -236,16 +236,16 @@ def translation_identity_residual(
     """Residual of the translation-invariance identity at (k, offset).
 
     For a homomorphism, the coefficient of the translated samples times
-    exp(-i k.y) equals fhat(k) f(y) exp(-i k.y), with y the grid point of the
-    offset.  The returned modulus of the difference is zero (to rounding)
-    exactly when the identity holds on the grid.
+    exp(-i k.y) equals fhat(k) f(y) exp(-i k.y), y the offset's grid point.
+    Both are direct sums over one phase vector (see :func:`coefficient`); the
+    difference's modulus is zero (to rounding) exactly when the identity holds.
     """
     kk = _freq_in_box(k, s.grid)
-    off = _as_vector(offset, s.dim, "offset")
-    off = tuple(o % n for o, n in zip(off, s.grid))
+    off = tuple(o % n for o, n in zip(_as_vector(offset, s.dim, "offset"), s.grid))
     y = tuple(2.0 * np.pi * o / n for o, n in zip(off, s.grid))
     phase = np.exp(-1j * math.fsum(kj * yj for kj, yj in zip(kk, y)))
-    f_y = complex(s.values[off])
-    lhs = coefficient(shift_samples(s, off), kk) * phase
-    rhs = coefficient(s, kk) * f_y * phase
+    phases = character_values([-kj for kj in kk], s.grid)
+    shifted = np.roll(s.values, tuple(-o for o in off), tuple(range(s.dim)))
+    lhs = complex((shifted * phases).sum() / s.size) * phase
+    rhs = complex((s.values * phases).sum() / s.size) * complex(s.values[off]) * phase
     return abs(lhs - rhs)

@@ -148,13 +148,14 @@ def _report(
     return CharacterReport(verdict, frequency, residual, peak, peaks)
 
 
+@np.errstate(invalid="ignore")
 def identify_torus(s: TorusSamples, cfg: IdentifyConfig = IdentifyConfig()) -> CharacterReport:
     """Classify torus samples and identify the integer frequency.
 
     ``ExactCharacter`` requires the spectral peak within ``tau_exact`` of 1
     and the multiplicative residual below ``tau_exact``; a peak above
     ``floor`` alone gives ``ApproxCharacter``; anything else is
-    ``NotCharacter``.  All outcomes are verdicts, never errors.
+    ``NotCharacter``.  All outcomes are verdicts, never errors or warnings.
     """
     sp = spectrum(s)
     mag = np.abs(sp.coeffs).ravel()
@@ -165,6 +166,7 @@ def identify_torus(s: TorusSamples, cfg: IdentifyConfig = IdentifyConfig()) -> C
     return _report(peaks, k if spike else None, hres <= cfg.tau_exact, hres, cfg)
 
 
+@np.errstate(invalid="ignore")
 def identify_line(ls: LineSamples, cfg: IdentifyConfig = IdentifyConfig()) -> CharacterReport:
     """Classify line samples and identify the real frequency alpha = k + beta.
 

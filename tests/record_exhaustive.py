@@ -1,28 +1,32 @@
-"""Record every finite check, report and parse, to compare two trees bit for bit.
+"""Record every finite check and identification, report, translation
+residual and parse, to compare two trees bit for bit.
 
     PYTHONPATH=src python tests/record_exhaustive.py OUT
 
-wraps ``is_homomorphism_exhaustive``, ``classify``,
-``charid.cli._finite_report``, ``charid.cli.parse_input`` and ``validate``
-wherever charid holds them, then runs tests/test_finite.py,
-tests/test_acceptance.py, tests/test_identify.py, tests/test_cli.py,
-tests/test_cli_golden.py and tests/test_samples.py in this process, two
-lib-finite and two lib-torus rounds of ``bench/workloads.py`` on each of seeds
-101 and 102, and parses every analyze input of one cli-files round (seed 101),
-written into a temporary directory.  OUT gets one line per call, sorted.  Each
-line names the call and its input: the input's type, shape and a hash of its
-values' bytes (the endpoints' too, for line samples).  A check's line goes on
-with ``passes`` and ``worst.hex()``.  A report's line goes on with the verdict,
-the frequency, ``hom_residual.hex()``, ``spectral_peak.hex()``, the peaks with
-hex magnitudes and beta in hex.  A validate line goes on with each violation's
-``where``, index and deviation in hex; a call made inside another call of the
-same function is not recorded, so a function that recurses records as one that
-loops.  A parse line starts with a hash of the file's bytes and the requested
-mode and endpoint, and ends with the parsed input or, for a refused one, the
-exit code and message, with the path written as ``{path}``.  A call that raises
-records the exception's type instead.  Hypothesis runs derandomized, so two
-trees draw the same inputs, and two recordings compare with ``cmp``.  The exit
-code is 1 when a test or a benchmark request fails.
+wraps ``is_homomorphism_exhaustive``, ``identify_finite``, ``classify``,
+``charid.cli._finite_report``, ``translation_identity_residual``,
+``charid.cli.parse_input`` and ``validate`` wherever charid holds them, then
+runs tests/test_finite.py, tests/test_acceptance.py, tests/test_identify.py,
+tests/test_fourier.py, tests/test_cli.py, tests/test_cli_golden.py and
+tests/test_samples.py in this process, two lib-finite and two lib-torus rounds
+of ``bench/workloads.py`` on each of seeds 101 and 102, and parses every
+analyze input of one cli-files round (seed 101), written into a temporary
+directory.  OUT gets one line per call, sorted.  Each line names the call and
+its input: the input's type, shape and a hash of its values' bytes (the
+endpoints' too, for line samples).  A check's line goes on with ``passes`` and
+``worst.hex()``, an identification's with the index found or None, and a
+residual's with k, the offset and the residual in hex.  A report's line goes on
+with the verdict, the frequency, ``hom_residual.hex()``,
+``spectral_peak.hex()``, the peaks with hex magnitudes and beta in hex.  A
+validate line goes on with each violation's ``where``, index and deviation in
+hex; a call made inside another call of the same function is not recorded, so a
+function that recurses records as one that loops.  A parse line starts with a
+hash of the file's bytes and the requested mode and endpoint, and ends with the
+parsed input or, for a refused one, the exit code and message, with the path
+written as ``{path}``.  A call that raises records the exception's type
+instead.  Hypothesis runs derandomized, so two trees draw the same inputs, and
+two recordings compare with ``cmp``.  The exit code is 1 when a test or a
+benchmark request fails.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ import charid.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (101, 102)
-TESTS = ("test_finite.py", "test_acceptance.py", "test_identify.py", "test_cli.py",
-         "test_cli_golden.py", "test_samples.py")
+TESTS = ("test_finite.py", "test_acceptance.py", "test_identify.py", "test_fourier.py",
+         "test_cli.py", "test_cli_golden.py", "test_samples.py")
 
 
 def _key(obj) -> str:
@@ -65,17 +69,25 @@ def _hex(x) -> str:
     return str(x)
 
 
-def _check_line(t, result) -> str:
+def _check_line(t, result, *_) -> str:
     passes, worst = result
     return f"check {_key(t)} {passes} {_hex(worst)}"
 
 
-def _report_line(obj, rep) -> str:
+def _identify_line(t, k, *_) -> str:
+    return f"identify {_key(t)} {k}"
+
+
+def _residual_line(s, residual, k, offset) -> str:
+    return f"residual {_key(s)} {_hex(k)} {_hex(offset)} {_hex(residual)}"
+
+
+def _report_line(obj, rep, *_) -> str:
     fields = (rep.frequency, rep.hom_residual, rep.spectral_peak, rep.peaks, rep.beta)
     return f"report {_key(obj)} {rep.verdict} " + " ".join(map(_hex, fields))
 
 
-def _validate_line(s, violations) -> str:
+def _validate_line(s, violations, *_) -> str:
     return f"validate {_key(s)} " + " ".join(
         f"{v.where} {_hex(v.index)} {_hex(v.deviation)}" for v in violations
     )
@@ -105,8 +117,8 @@ def _parse_recording(real, lines: list):
 
 
 def _recording(real, kind: str, line, lines: list):
-    """``real``, appending ``line(input, result)`` to ``lines`` on each call
-    that no other call of ``real`` encloses."""
+    """``real``, appending ``line(input, result, *args)`` to ``lines`` on each
+    call that no other call of ``real`` encloses."""
     depth = [0]
 
     def recorded(obj, *args, **kwargs):
@@ -120,7 +132,7 @@ def _recording(real, kind: str, line, lines: list):
         finally:
             depth[0] -= 1
         if not depth[0]:
-            lines.append(line(obj, result))
+            lines.append(line(obj, result, *args, *kwargs.values()))
         return result
 
     return recorded
@@ -130,8 +142,11 @@ def _wrap(lines: list) -> None:
     """Replace each recorded function by a recording one in every charid module."""
     targets = (
         ("is_homomorphism_exhaustive", charid.is_homomorphism_exhaustive, "check", _check_line),
+        ("identify_finite", charid.identify_finite, "identify", _identify_line),
         ("classify", charid.classify, "report", _report_line),
         ("_finite_report", charid.cli._finite_report, "report", _report_line),
+        ("translation_identity_residual", charid.translation_identity_residual, "residual",
+         _residual_line),
         ("validate", charid.validate, "validate", _validate_line),
     )
     wrapped = [(name, real, _recording(real, kind, line, lines))

@@ -866,6 +866,71 @@ def test_small_tables_stay_serial(monkeypatch):
         assert not is_homomorphism_exhaustive(CharacterTable(c.group, -c.values))[0]
 
 
+def _walk_of_listed_pairs(values: np.ndarray) -> float:
+    """The walk's worst defect from its pairs listed one by one: every (a, b)
+    with (b_L - a_L) mod N_L in [0, N_L//2] on the first longest axis L,
+    each operand gathered flat, with the walk's t(a) t(b) and |d|^2
+    arithmetic; a NaN anywhere is the answer."""
+    shape, flat = values.shape, values.ravel()
+    longest = shape.index(max(shape))
+    a, b = (i.ravel() for i in np.indices((values.size, values.size)))
+    ca, cb = np.unravel_index(a, shape), np.unravel_index(b, shape)
+    keep = (cb[longest] - ca[longest]) % shape[longest] <= shape[longest] // 2
+    ab = np.ravel_multi_index(tuple((x + y) % n for x, y, n in zip(ca, cb, shape)), shape)
+    d = flat[ab[keep]] - flat[a[keep]] * flat[b[keep]]
+    f = d.view(np.float64)
+    f = f * f
+    worst = (f[0::2] + f[1::2]).max()
+    return math.nan if math.isnan(worst) else math.sqrt(worst)
+
+
+@st.composite
+def _one_block_tables(draw):
+    """A table of one all-pairs block with order-1 axes in every position,
+    (1, n), (n, 1), (a, 1, b) or (1, 1, 1): a character with up to three
+    entries negated, or set to 0, NaN or inf."""
+    form = draw(st.sampled_from(["1n", "n1", "a1b", "111"]))
+    n, a, b = draw(st.integers(1, 361)), draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    orders = {"1n": (1, n), "n1": (n, 1), "a1b": (a, 1, b), "111": (1, 1, 1)}[form]
+    n0 = max(orders)
+    m = math.prod(orders) // n0
+    assume(n0 * m * (n0 // 2 + 1) * m <= finite.BLOCK_PAIRS)
+    g = FiniteGroupSpec(orders)
+    vals = character_table(g, tuple(draw(st.integers(0, nj - 1)) for nj in orders)).values.copy()
+    changes = st.tuples(st.integers(0, g.size - 1), st.sampled_from(["neg", "0", "nan", "inf"]))
+    for i, kind in draw(st.lists(changes, max_size=3)):
+        vals.flat[i] = {"neg": -vals.flat[i], "0": 0.0, "nan": math.nan, "inf": math.inf}[kind]
+    return CharacterTable(g, vals)
+
+
+@given(_one_block_tables(), st.sampled_from([0.5, 0.9, 1.0]))
+@example(character_table(FiniteGroupSpec((3, 1, 4)), (1, 0, 1)), 0.9)
+@example(character_table(FiniteGroupSpec((2, 1, 5)), (1, 0, 2)), 0.9)
+@example(CharacterTable(FiniteGroupSpec((1, 1, 1)), np.full((1, 1, 1), -1 + 0j)), 0.9)
+@example(CharacterTable(FiniteGroupSpec((1, 1, 1)), np.full((1, 1, 1), math.inf + 0j)), 0.9)
+@settings(deadline=None, max_examples=150)
+def test_one_block_route_is_the_plain_route(t, floor):
+    # the check walks a one-block table with its order-1 axes dropped: the
+    # same pairs, operands and operand order as the walk of the table as it
+    # is, and as the pairs listed one by one (a table of one element walks a
+    # single pair, which rounds as only a block of one does).  identify_finite
+    # reads its spike as np.argmax and np.unravel_index would
+    with np.errstate(all="ignore"):
+        ok, worst = is_homomorphism_exhaustive(t)
+        walk = finite._worst_defect_all_pairs(t.values)
+        listed = _walk_of_listed_pairs(t.values)
+        mags = np.abs(np.fft.fftn(t.values)) / t.group.size
+        found = identify_finite(t, floor)
+    assert _same_bits(worst, walk)
+    assert ok == (worst <= finite.HOM_TOL)
+    if t.group.size > 1:
+        assert _same_bits(worst, listed)
+    flat = int(np.argmax(mags))
+    peak = float(mags.flat[flat])
+    spike = math.isfinite(peak) and peak >= floor
+    assert found == (tuple(int(i) for i in np.unravel_index(flat, t.group.orders)) if spike else None)
+
+
 def test_enumeration_equals_character_table_bitwise():
     for orders in [(6,), (4, 6), (2, 3, 4)]:
         g = FiniteGroupSpec(orders)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -296,6 +297,31 @@ def test_non_finite_sample_is_not_a_character(bad):
     assert rep.frequency is None
 
 
+@pytest.mark.parametrize("errors", ["warn", "raise"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
+@pytest.mark.parametrize("mode", ["torus", "line"])
+def test_non_finite_samples_get_a_verdict_without_a_warning(mode, bad, errors):
+    # the transform, the spectrum's division and the line's quotient meet
+    # invalid operations on these samples; classify keeps them to itself,
+    # whatever the caller's np.errstate, and a caller raising warnings as
+    # errors still gets the verdict
+    if mode == "torus":
+        s = sample_character_torus((3, -2), (8, 6))
+        values = s.values.copy()
+        values[1, 2] = bad
+        s = TorusSamples(s.grid, values)
+    else:
+        ls = sample_character_line((2.5, -1.25), (8, 6))
+        values = ls.base.values.copy()
+        values[1, 2] = bad
+        s = LineSamples(TorusSamples(ls.grid, values), ls.endpoint_values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all=errors):
+            rep = classify(s)
+    assert rep.verdict == Verdict.NOT and rep.frequency is None
+
+
 def test_classify_dispatches_by_type():
     assert classify(sample_character_torus(2, 16)).frequency == (2,)
     assert classify(sample_character_line(2.5, 16)).frequency[0] == pytest.approx(2.5)
@@ -337,7 +363,9 @@ def torus_samples(draw):
         values = np.full(size, draw(st.sampled_from([1.0, -1.0, 1j, 0.0, 2.0])))
     else:
         parts = st.lists(st.sampled_from(SAMPLE_PARTS), min_size=size, max_size=size)
-        values = np.array(draw(parts)) + 1j * np.array(draw(parts))
+        real, imag = np.array(draw(parts)), np.array(draw(parts))
+        with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j
+            values = real + 1j * imag
     return TorusSamples(grid, values.astype(np.complex128).reshape(grid))
 
 
