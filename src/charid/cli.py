@@ -4,8 +4,8 @@ One request per invocation.  Input is a JSON document (any mode, any
 dimension) or a CSV table (1-D only); the report goes to standard output as
 JSON or a fixed text template, diagnostics to standard error.  Exit codes
 are part of the contract: 0 success (any verdict), 1 usage, 2 a file or
-output that cannot be read or written (standard output included), 3
-malformed syntax or shape, 4 invariant violation (non-unit samples).
+output that cannot be read or written, or too little memory, 3 malformed
+syntax or shape, 4 invariant violation (non-unit samples).
 
 Every floating value is serialized with 17 significant digits, so a report
 parsed back from disk reproduces the in-memory numbers exactly and repeated
@@ -579,6 +579,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as err:
         _write_stderr(_error_line(str(err)))
         return err.code
+    except MemoryError:  # exit 2, like input or output that cannot be read or written
+        _write_stderr(_error_line("not enough memory to finish the request"))
+        return EXIT_MISSING_FILE
 
 
 def entry() -> None:

@@ -175,29 +175,56 @@ def _block_worst(t_a, t_b, t_ab, o=None, s=None) -> float:
     return float(np.add(f[..., 0::2], f[..., 1::2], s).max())
 
 
+def _nan_max(found) -> float:
+    """max(0.0, *found), or math.nan at the first NaN, which max() may pass over."""
+    worst = 0.0
+    for x in found:
+        if math.isnan(x):
+            return math.nan
+        worst = max(worst, x)
+    return worst
+
+
+def _rolled(moved: np.ndarray, fixed: tuple[int, ...] = ()) -> np.ndarray:
+    """The R(a') whose first rest components are ``fixed``, as one view
+    v[a'', k, x0, x'] = t(x0, x' + (fixed, a'')) of ``moved``: one gather of
+    (x + i) mod n rolls the fixed components into place, the table is doubled
+    only along the axes of a'', and k's 0 stride triples the walk's axis."""
+    lead, shape = len(fixed) + 1, moved.shape
+    if any(fixed):
+        shifted = ((np.arange(n) + i) % n for n, i in zip(shape[1:], fixed))
+        moved = moved[(slice(None), *np.ix_(*shifted))]
+    for ax in range(lead, len(shape)):
+        moved = np.concatenate([moved] * 2, axis=ax)
+    st = moved.strides  # ravel("K") views a table contiguous in any axis order
+    return np.ndarray(shape[lead:] + (3,) + shape, moved.dtype, moved.ravel("K"), 0,
+                      st[lead:] + (0,) + st)
+
+
 def _worst_defect_all_pairs(values: np.ndarray, full_window: bool = False) -> float:
     """max |t(a+b) - t(a) t(b)| over every pair of group elements.
 
-    The first longest axis is moved first and a = (a0, a') splits off its
-    component.  The defect is symmetric in (a, b), so it is enough to take
-    the b with (b0 - a0) mod N0 in [0, N0//2] and b' free: every unordered
-    pair still appears at least once, in about half of the |G|^2 ordered
-    pairs.  With ``full_window`` (b0 - a0) mod N0 takes all of [0, N0)
-    instead, and each ordered pair is taken once: the walk of a table that
-    repeats along its longest axis asks for that (see _all_pairs_worst).
-    Let R(a') be the table rolled by a' on its trailing axes and tripled
-    along axis 0.  For one a, the t(a + b) are (N0//2 + 1) |G|/N0 (or |G|)
-    consecutive entries of R(a') from row 2 a0 on, the t(b) as many entries
-    of R(0) from row a0 on, and t(a) is entry (a0, 0') of R(a').  So both
-    operands are contiguous runs of about |G|/2 (or |G|) on every group
-    shape.
+    Order-1 axes are dropped, the first longest axis is moved first and
+    a = (a0, a') splits off its component.  The defect is symmetric in
+    (a, b), so it is enough to take the b with (b0 - a0) mod N0 in
+    [0, N0//2] and b' free: every unordered pair still appears at least
+    once, in about half of the |G|^2 ordered pairs.  With ``full_window``
+    (b0 - a0) mod N0 takes all of [0, N0) instead, and each ordered pair is
+    taken once: the walk of a table that repeats along its longest axis
+    asks for that (see _all_pairs_worst).  Let R(a') be the table rolled by
+    a' on its trailing axes and tripled along axis 0.  For one a, the
+    t(a + b) are (N0//2 + 1) |G|/N0 (or |G|) consecutive entries of R(a')
+    from row 2 a0 on, the t(b) as many entries of R(0) from row a0 on, and
+    t(a) is entry (a0, 0') of R(a').  So both operands are contiguous runs
+    of about |G|/2 (or |G|) on every group shape.
 
-    The copies R(a') are made for every a' at once in a table of one block,
-    and otherwise for one box of a' values at a time, at most BLOCK_PAIRS
-    pairs' worth (or a single a'); where one copy is more, its rows a0 go
-    in blocks of BLOCK_PAIRS pairs (or one row, about |G|/2 pairs).  On a
-    cyclic group a' is empty and R() is the table tripled, with no copy
-    made.
+    The copies R(a') come from _rolled's views: all at once in a table of
+    one block, else one box of a' values at a time (see _boxes), at most
+    BLOCK_PAIRS pairs' worth or one a', in blocks of BLOCK_PAIRS pairs (or
+    one row) of rows a0 where one copy is more.  A share makes a new view,
+    at most twice the table per a' of its box, only where its box's fixed
+    components change: memory is bounded on any number of factors.  R(0) is
+    copied once, and is the one R() of a cyclic group.
 
     A table of up to about 360 elements is a single block, checked in the
     calling thread.  Larger ones are split into _worker_count() shares: the
@@ -211,6 +238,7 @@ def _worst_defect_all_pairs(values: np.ndarray, full_window: bool = False) -> fl
     handling.  Every thread is joined before the call returns or raises,
     and the lowest share's exception, if any, is raised in the caller.
     """
+    values = np.ascontiguousarray(values.squeeze())  # at least one axis
     longest = values.shape.index(max(values.shape))
     moved = values.swapaxes(0, longest)
     n0, rest, size = moved.shape[0], moved.shape[1:], values.size
@@ -218,38 +246,32 @@ def _worst_defect_all_pairs(values: np.ndarray, full_window: bool = False) -> fl
     run = (n0 if full_window else n0 // 2 + 1) * m
     dt, item = values.dtype, values.itemsize
     plane, row = 3 * size * item, m * item
+
+    def operands(copies, base, count, rows, at):
+        """t(a), t(b), t(a+b) of the rows from at / row on of ``count`` copies, R(0) in ``base``."""
+        return (np.ndarray((count, rows, 1), dt, copies, at, (plane, row, item)),
+                np.ndarray((rows, run), dt, base, at, (row, item)),
+                np.ndarray((count, rows, run), dt, copies, 2 * at, (plane, 2 * row, item)))
+
     if n0 * m * run <= BLOCK_PAIRS:  # one block
-        ext = np.ascontiguousarray(values)
-        for ax in range(values.ndim):
-            ext = ext if ax == longest else np.concatenate([ext] * 2, axis=ax)
-        st = ext.swapaxes(0, longest).strides
-        # every R(a') in one copy, a 0 stride tripling the walk's axis
-        view = np.ndarray(rest + (3, n0) + rest, dt, ext, 0, st[1:] + (0,) + st)
-        copies = np.ascontiguousarray(view)
-        worst = _block_worst(
-            np.ndarray((m, n0, 1), dt, copies, 0, (plane, row, item)),
-            np.ndarray((n0, run), dt, copies, 0, (row, item)),  # R(0)
-            np.ndarray((m, n0, run), dt, copies, 0, (plane, 2 * row, item)),
-        )
+        copies = np.ascontiguousarray(_rolled(moved))
+        worst = _block_worst(*operands(copies, copies, m, n0, 0))  # R(0) is copy 0
         return math.nan if math.isnan(worst) else math.sqrt(worst)  # every route gives math.nan
-    values = np.ascontiguousarray(moved)
-    base = ext = np.concatenate([values] * 3)  # R(0)
-    for ax in range(1, values.ndim):
-        ext = np.concatenate([ext] * 2, axis=ax)
-    # rolled[a'] = R(a'): rolled[a'][x0, x'] = ext[x0, x' + a'], x0 < 3 N0
-    st = ext.strides
-    rolled = np.ndarray(rest + (3 * n0,) + rest, dt, ext, 0, st[1:] + st)
     budget = max(1, BLOCK_PAIRS // (n0 * run))
     boxes = _boxes(rest, budget)
+    base = np.ascontiguousarray(_rolled(moved, (0,) * len(rest)))  # R(0)
+    head = boxes[0][:-1], _rolled(moved, boxes[0][:-1])  # where every share starts
 
-    def share_worst(boxes, first, stride, o=None, s=None, copy=None) -> float:
-        """Worst |defect|^2 over the blocks of rows first, first + stride,
+    def share_worst(boxes, first, stride, o=None, s=None, copy=None):
+        """The worst |defect|^2 of each block of rows first, first + stride,
         ... of each box in ``boxes``, its copies made in ``copy`` if given."""
-        worst = 0.0
+        fixed, view = head
         for box in boxes:
-            src = rolled[box]
-            if copy is None:
-                copies = np.ascontiguousarray(src)
+            if box[:-1] != fixed:
+                fixed, view = box[:-1], _rolled(moved, box[:-1])
+            src = view[box[-1:]]
+            if copy is None:  # a cyclic group, whose one R() is R(0)
+                copies = base
             else:
                 copies = copy[: src.size].reshape(src.shape)
                 np.copyto(copies, src)
@@ -257,52 +279,32 @@ def _worst_defect_all_pairs(values: np.ndarray, full_window: bool = False) -> fl
             step = max(1, BLOCK_PAIRS // (count * run))
             for r0 in range(first * step, n0, stride * step):
                 rows, at = min(step, n0 - r0), r0 * row
-                block_worst = _block_worst(
-                    np.ndarray((count, rows, 1), dt, copies, at, (plane, row, item)),
-                    np.ndarray((rows, run), dt, base, at, (row, item)),
-                    np.ndarray(
-                        (count, rows, run), dt, copies, 2 * at, (plane, 2 * row, item)
-                    ),
-                    o,
-                    s,
-                )
-                # max() would keep worst over a NaN; a NaN anywhere is the answer
-                if math.isnan(block_worst):
-                    return math.nan
-                worst = max(worst, block_worst)
-        return worst
+                yield _block_worst(*operands(copies, base, count, rows, at), o, s)
 
     from concurrent.futures import ThreadPoolExecutor
 
-    one_box = len(boxes) == 1  # then m is 1
+    one_box = len(boxes) == 1  # a cyclic group
     shares = -(-n0 // max(1, BLOCK_PAIRS // run)) if one_box else len(boxes)
     workers = min(_worker_count(), shares)
     fp_errors = np.geterr()  # a new thread starts from numpy's defaults
-    # Every worker's buffers are allocated here: arrays allocated in the
-    # threads would each take a malloc arena of their own and raise peak RSS
+    # Every worker's buffers are allocated here, and threads make only new
+    # views: arrays allocated there take malloc arenas and raise peak RSS
     pairs = max(BLOCK_PAIRS, run)  # the largest block
-    buffers = [
-        (
-            np.empty(pairs, dt),
-            np.empty(pairs),
-            np.empty(min(budget, m) * 3 * size, dt) if rest else None,
-        )
-        for _ in range(workers)
-    ]
+    copied = min(budget, m) * 3 * size  # a box's copies
+    buffers = [(np.empty(pairs, dt), np.empty(pairs), np.empty(copied, dt) if rest else None)
+               for _ in range(workers)]
 
     def work(w) -> float:
         share = (boxes, w, workers) if one_box else (boxes[w::workers], 0, 1)
         with np.errstate(**fp_errors):
-            return share_worst(*share, *buffers[w])
+            return _nan_max(share_worst(*share, *buffers[w]))
 
     # at most one thread per share given (a pool of 0 is refused); leaving
     # the block joins them all, and then the lowest share's error is raised
     with ThreadPoolExecutor(workers) as pool:
         started = pool.map(work, range(1, workers))
         worst = [work(0), *started]
-    if any(map(math.isnan, worst)):
-        return math.nan
-    return math.sqrt(max(worst))
+    return math.sqrt(_nan_max(worst))  # a NaN anywhere is the answer
 
 
 def _certified_worst(values: np.ndarray) -> float | None:
@@ -413,8 +415,7 @@ def _all_pairs_worst(values: np.ndarray) -> float:
     """_worst_defect_all_pairs(values), bit for bit, from as few pairs as
     this module can certify.
 
-    A table of one block is walked with its order-1 axes dropped, over the
-    same pairs, operands and operand order.  A larger one that repeats along
+    A table of one block is walked as it is.  A larger one that repeats along
     some axis, with least periods p_j (see _periods) not all N_j, has its tile
     values[:p_1, ..., :p_m] walked instead, as a table on the quotient group.
     A pair's defect depends only on the bits of t(a), t(b) and t(a+b), which
@@ -434,7 +435,7 @@ def _all_pairs_worst(values: np.ndarray) -> float:
     n0 = max(shape)
     longest, m = shape.index(n0), values.size // n0
     if n0 * m * (n0 // 2 + 1) * m <= BLOCK_PAIRS:  # one block
-        return _worst_defect_all_pairs(values.reshape([n for n in shape if n > 1] or [1]))
+        return _worst_defect_all_pairs(values)
     periods = _periods(values)
     if math.prod(periods) == 1:  # a constant table
         periods = tuple(_prime_factors(n0)[0] if j == longest else 1 for j in range(len(shape)))
@@ -467,14 +468,10 @@ def _sampled_worst(values: np.ndarray, pairs: tuple[np.ndarray, ...]) -> float:
     """_sampled_defect(values, pairs), bit for bit, gathered BLOCK_PAIRS
     pairs at a time: 1 MiB of values per operand, where all of them at once
     would be 16 MiB each for SAMPLED_PAIRS pairs."""
-    worst = 0.0
-    for lo in range(0, pairs[0].size, BLOCK_PAIRS):
-        found = _sampled_defect(values, tuple(p[lo : lo + BLOCK_PAIRS] for p in pairs))
-        # max() would keep worst over a NaN; a NaN anywhere is the answer
-        if math.isnan(found):
-            return math.nan
-        worst = max(worst, found)
-    return worst
+    return _nan_max(
+        _sampled_defect(values, tuple(p[lo : lo + BLOCK_PAIRS] for p in pairs))
+        for lo in range(0, pairs[0].size, BLOCK_PAIRS)
+    )
 
 
 def is_homomorphism_exhaustive(t: CharacterTable, seed: int = 0) -> tuple[bool, float]:

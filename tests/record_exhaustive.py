@@ -9,13 +9,15 @@ wraps ``is_homomorphism_exhaustive``, ``identify_finite``, ``classify``,
 runs tests/test_finite.py, tests/test_acceptance.py, tests/test_identify.py,
 tests/test_fourier.py, tests/test_cli.py, tests/test_cli_golden.py and
 tests/test_samples.py in this process, two lib-finite and two lib-torus rounds
-of ``bench/workloads.py`` on each of seeds 101 and 102, and parses every
-analyze input of one cli-files round (seed 101), written into a temporary
-directory.  OUT gets one line per call, sorted.  Each line names the call and
+of ``bench/workloads.py`` on each of seeds 101 and 102, parses every analyze
+input of one cli-files round (seed 101), written into a temporary directory,
+and checks and walks the tables of MULTI_BLOCK.  OUT gets one line per call,
+sorted.  Each line names the call and
 its input: the input's type, shape and a hash of its values' bytes (the
 endpoints' too, for line samples).  A check's line goes on with ``passes`` and
 ``worst.hex()``, an identification's with the index found or None, and a
-residual's with k, the offset and the residual in hex.  A report's line goes on
+residual's with k, the offset and the residual in hex, and a walk's, one
+per window, with the walk's worst defect in hex.  A report's line goes on
 with the verdict, the frequency, ``hom_residual.hex()``,
 ``spectral_peak.hex()``, the peaks with hex magnitudes and beta in hex.  A
 validate line goes on with each violation's ``where``, index and deviation in
@@ -45,6 +47,11 @@ import charid.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (101, 102)
+#: Groups of 3 to 11 factors, order-1 ones among them, whose all-pairs walk
+#: makes its rolled copies box by box: a character, it with one entry
+#: negated and random phases are checked and walked on each.
+MULTI_BLOCK = ((16, 8, 8), (6, 5, 4, 3), (5, 1, 9, 1, 8), (3, 4, 3, 4, 3), (3,) * 6, (4,) * 5,
+               (2, 3, 2, 3, 2, 3, 2), (2,) * 9, (2,) * 10, (2,) * 11)
 TESTS = ("test_finite.py", "test_acceptance.py", "test_identify.py", "test_fourier.py",
          "test_cli.py", "test_cli_golden.py", "test_samples.py")
 
@@ -191,6 +198,22 @@ def _cli_round() -> None:
             charid.cli.parse_input(args.input, args.mode, charid.cli._parse_endpoint(args.endpoint))
 
 
+def _multi_block_walks(lines: list) -> None:
+    """Check and walk, on both windows, the tables of MULTI_BLOCK."""
+    for orders in MULTI_BLOCK:
+        g = charid.FiniteGroupSpec(orders)
+        chi = charid.character_table(g, tuple(min(1, n - 1) for n in orders))
+        negated = chi.values.copy()
+        negated.flat[chi.values.size // 3] *= -1
+        rng = np.random.default_rng(g.size + len(orders))
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=orders))
+        for values in (chi.values, negated, phases):
+            charid.is_homomorphism_exhaustive(charid.CharacterTable(g, values))
+            for full in (False, True):
+                worst = charid.finite._worst_defect_all_pairs(values, full_window=full)
+                lines.append(f"walk {_key(values)} {full} {_hex(worst)}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -202,6 +225,7 @@ def main(argv: list[str]) -> int:
     code = pytest.main(["-q", "-p", "no:cacheprovider", *(str(ROOT / "tests" / t) for t in TESTS)])
     failed = _bench_rounds()
     _cli_round()
+    _multi_block_walks(lines)
     Path(argv[0]).write_text("".join(line + "\n" for line in sorted(lines)))
     print(f"{len(lines)} calls recorded in {argv[0]}")
     return 1 if code or failed else 0

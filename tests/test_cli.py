@@ -781,6 +781,48 @@ def test_the_process_entry_runs_without_the_cyclic_collector():
     assert (proc.stdout, proc.stderr) == (f"charid {charid.__version__}\n0 False True\n", "")
 
 
+def test_running_out_of_memory_is_one_error_line(tmp_path):
+    # a torus JSON analysed in a child whose address space is limited to
+    # 600 MiB once charid is loaded ran out of memory in a 30-line numpy
+    # traceback, exit 1.  Its 2^21 samples, 20 MB, need about 612 MiB here
+    # with numpy's default threads and 575 MiB with one, too close to the
+    # limit, so this child reads 2^22, which need about twice as much
+    pytest.importorskip("resource")
+    n = 1 << 22
+    path = tmp_path / "t22.json"
+    path.write_text('{"mode":"torus","dim":1,"grid":[%d],"values":[%s]}'
+                    % (n, ",".join(["[1.0,0.0]"] * n)))
+    script = (
+        "import os, resource, sys\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"  # numpy's start-up, whatever the host's cores
+        "import charid.cli\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))\n"
+        f"sys.argv = ['charid', 'analyze', '--mode', 'torus', '--input', {str(path)!r}]\n"
+        "charid.cli.entry()\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == EXIT_MISSING_FILE
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["charid: error: not enough memory to finish the request"]
+
+
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_a_memory_error_in_either_command_is_exit_2(monkeypatch, tmp_path, command):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, command, no_memory)
+    argv = {
+        "run": ["analyze", "--input", str(tmp_path / "t.json"), "--mode", "torus"],
+        "generate": ["generate", "--mode", "torus", "--freq", "1", "--grid", "8",
+                     "--output", str(tmp_path / "t.json")],
+    }[command]
+    code, out, err = _run_quietly(argv)
+    _assert_one_error_line(code, out, err)
+    assert code == EXIT_MISSING_FILE
+    assert err == "charid: error: not enough memory to finish the request\n"
+
+
 def test_main_in_process_leaves_the_collector_as_it_found_it(t64_fixture, capsys):
     argvs = [["analyze", "--input", t64_fixture, "--mode", "torus"], ["--version"],
              ["analyze", "--input", t64_fixture + ".absent", "--mode", "torus"]]

@@ -192,12 +192,16 @@ def test_half_window_reaches_half_way_round(orders):
 
 
 @pytest.mark.parametrize("block_pairs", [1, 7, 40, 400, 1000])
-@pytest.mark.parametrize("orders", [(13,), (5, 2), (3, 4, 5), (6, 6)])
+@pytest.mark.parametrize(
+    "orders", [(13,), (5, 2), (3, 4, 5), (6, 6), (2, 2, 2, 2, 2), (2, 3, 2, 3)]
+)
 def test_kernel_blocks_cover_every_pair(monkeypatch, orders, block_pairs):
     # tiny blocks split the pairs into one rolled copy per block and a few
     # rows a0 at a time; 400 and 1000 give boxes of two and three copies,
-    # cut along the second and the first trailing axis of 3 x 4 x 5.  A
-    # random table's worst pair can sit in any block.  The perturbed last
+    # cut along the second and the first trailing axis of 3 x 4 x 5.  On
+    # (Z_2)^5 and 2 x 3 x 2 x 3, at 400 pairs and below, the boxes fix
+    # leading components of a', which change from box to box in each share.
+    # A random table's worst pair can sit in any block.  The perturbed last
     # entry e has its largest defect, |t(2e) - t(e)^2|, only at a = e, which
     # lies in the last block
     monkeypatch.setattr(finite, "BLOCK_PAIRS", block_pairs)
@@ -1221,6 +1225,79 @@ def test_all_pairs_memory_is_bounded_at_worker_cap(monkeypatch, orders):
     # with as many workers as MAX_WORKERS allows, on a host of any size
     monkeypatch.setattr(finite, "_worker_count", lambda: finite.MAX_WORKERS)
     test_all_pairs_memory_is_bounded(orders)
+
+
+# the walk's worst defect of the character chi_(1, ..., 1), of it with entry
+# |G| // 3 negated and of random phases (seed |G| + factor count), each at
+# MAX_WORKERS workers, as hex
+MANY_FACTOR_WALKS = {
+    (2,) * 9: ("0x1.3daeaf976e788p-49", "0x1.0000000000000p+1", "0x1.fffffffd5701bp+0"),
+    (2,) * 10: ("0x1.60fafbfd97309p-49", "0x1.0000000000000p+1", "0x1.ffffffffffa58p+0"),
+    (2,) * 11: ("0x1.84474863bfe8ap-49", "0x1.0000000000000p+1", "0x1.ffffffffffffap+0"),
+    (2,) * 12: ("0x1.a79394c9e8a0bp-49", "0x1.0000000000000p+1", "0x1.fffffffffffd7p+0"),
+    (3,) * 7: ("0x1.9850486a3f181p-48", "0x1.0000000000000p+1", "0x1.fffffffffffb1p+0"),
+    (4,) * 5: ("0x1.60fafbfd9730ap-50", "0x1.0000000000000p+1", "0x1.ffffffffc10e8p+0"),
+    (2, 3, 2, 3, 2, 3, 2): ("0x1.0b9eb8bea6a51p-48", "0x1.0000000000000p+1",
+                            "0x1.ffffffff4f49ap+0"),
+}
+
+
+def test_many_factor_walks_keep_their_results_in_bounded_memory(monkeypatch):
+    # every rolled copy R(a') comes from the table doubled only along the
+    # axes a box's a' values span: doubling it along every axis took
+    # 3 * 2^(d-1) |G| entries for d factors, 576 MiB on (Z_2)^12.  R(0), the
+    # shared view and a gather are a few tables; each worker holds its
+    # blocks' buffers (24 bytes a pair of BLOCK_PAIRS), a box's copies and
+    # its view, within four times those buffers
+    monkeypatch.setattr(finite, "_worker_count", lambda: finite.MAX_WORKERS)
+    block_buffers = 24 * finite.BLOCK_PAIRS
+    for orders, expected in MANY_FACTOR_WALKS.items():
+        chi = character_table(FiniteGroupSpec(orders), (1,) * len(orders)).values
+        negated = chi.copy()
+        negated.flat[chi.size // 3] *= -1
+        rng = np.random.default_rng(chi.size + len(orders))
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=orders))
+        bound = 64 * chi.nbytes + finite.MAX_WORKERS * 4 * block_buffers
+        assert bound <= 32 << 20
+        for vals, hex_worst in zip((chi, negated, phases), expected):
+            tracemalloc.start()
+            try:
+                worst = finite._worst_defect_all_pairs(vals)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert worst.hex() == hex_worst, orders
+            assert peak < bound, (orders, peak)
+
+
+def test_many_factor_checks_run_under_an_address_space_limit():
+    # (Z_2)^13 and (Z_2)^14 at 1 GiB of address space, set in the child once
+    # numpy is loaded: the table doubled along every axis but the walk's
+    # took 1.50 GiB on (Z_2)^13
+    script = """
+import os, resource
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # numpy's start-up, whatever the host's cores
+from charid.finite import CharacterTable, FiniteGroupSpec, character_table, is_homomorphism_exhaustive
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+for d in (13, 14):
+    t = character_table(FiniteGroupSpec((2,) * d), (1,) * d)
+    negated = t.values.copy()
+    negated.flat[5] *= -1
+    print(*is_homomorphism_exhaustive(t))
+    print(*is_homomorphism_exhaustive(CharacterTable(t.group, negated)))
+"""
+    pytest.importorskip("resource")
+    src = str(pathlib.Path(finite.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    for character, negated in (lines[:2], lines[2:]):
+        passes, worst = character.split()
+        assert passes == "True" and float(worst) < 1e-14
+        assert negated == "False 2.0"
 
 
 @pytest.mark.parametrize("n,k", [(512, 100), (1000, 333), (1024, 1023)])
