@@ -31,7 +31,7 @@ import numpy as np
 from .circle import UNIT_TOL, character_values, root_of_unity_powers, unit_deviation
 from .fourier import DOMINANCE_FLOOR, _check_floor, _dft
 from .samples import IntVector, _as_int, _as_ints, _as_vector, _freeze
-from .samples import _probe_pairs, _sampled_defect
+from .samples import BLOCK_PAIRS, _probe_pairs, _sampled_defect
 
 #: Largest group size enumerate_characters accepts.  The |G| tables hold
 #: |G|^2 complex entries, 256 MiB at the cap.
@@ -43,17 +43,6 @@ ALL_PAIRS_CAP = 1 << 16
 
 #: Number of sampled pairs used beyond ALL_PAIRS_CAP.
 SAMPLED_PAIRS = 1 << 20
-
-#: Most pairs each worker of the all-pairs check holds in memory at once
-#: (16 bytes each).  It sizes both the boxes of a' values whose rolled
-#: copies of the table are made together and the blocks of rows a0 taken
-#: from one copy that alone is more (see _worst_defect_all_pairs).  Blocks
-#: of 1 MiB stay resident in a core's cache: on a 2 MiB-L2 Xeon, Z_16384
-#: checks in half the time it takes with 2^20-pair blocks, and two workers
-#: sharing 2^16 pairs between them gain only x1.2-1.4 over one worker where
-#: 2^16 pairs each gain x1.5-1.75.  The sampled check gathers its pairs in
-#: blocks of the same size (see _sampled_worst).
-BLOCK_PAIRS = 1 << 16
 
 #: Most threads one all-pairs check runs on.  Each holds a block of up to
 #: BLOCK_PAIRS pairs and one box of rolled copies, so this cap bounds the
@@ -464,16 +453,6 @@ def _sampled_pairs(
     return _probe_pairs(orders, trials, seed, dtype)
 
 
-def _sampled_worst(values: np.ndarray, pairs: tuple[np.ndarray, ...]) -> float:
-    """_sampled_defect(values, pairs), bit for bit, gathered BLOCK_PAIRS
-    pairs at a time: 1 MiB of values per operand, where all of them at once
-    would be 16 MiB each for SAMPLED_PAIRS pairs."""
-    return _nan_max(
-        _sampled_defect(values, tuple(p[lo : lo + BLOCK_PAIRS] for p in pairs))
-        for lo in range(0, pairs[0].size, BLOCK_PAIRS)
-    )
-
-
 def is_homomorphism_exhaustive(t: CharacterTable, seed: int = 0) -> tuple[bool, float]:
     """Verify t(a+b) = t(a) t(b), returning (passes, worst defect); it passes
     when the worst defect is at most HOM_TOL.
@@ -486,16 +465,14 @@ def is_homomorphism_exhaustive(t: CharacterTable, seed: int = 0) -> tuple[bool, 
     result is explicitly a sampled verdict.
     ``seed`` must be an integer >= 0 (ValueError otherwise).
 
-    The sampled pairs are drawn once per (orders, seed) and kept for the
-    two most recent keys (see _sampled_pairs), at 12 MB each; a check
-    gathers them in blocks of BLOCK_PAIRS pairs, 1 MiB of values per
-    operand, so a check whose pairs are kept allocates about 3 MB.
+    Pairs are drawn in under 14 MiB whatever the number of factors and kept
+    for the two latest (orders, seed) keys (see _sampled_pairs), 12 MB each.
     """
     seed = _as_int(seed, "seed", 0)
     if t.group.size <= ALL_PAIRS_CAP:
         worst = _all_pairs_worst(t.values)
     else:
-        worst = _sampled_worst(t.values, _sampled_pairs(t.group.orders, SAMPLED_PAIRS, seed))
+        worst = _sampled_defect(t.values, _sampled_pairs(t.group.orders, SAMPLED_PAIRS, seed))
     return worst <= HOM_TOL, worst
 
 

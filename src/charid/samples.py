@@ -35,6 +35,11 @@ from .circle import UNIT_TOL, character_values, div_arrays, unit_deviation
 IntVector = Union[int, Sequence[int]]
 RealVector = Union[float, Sequence[float]]
 
+#: Most pairs one block of work holds at once: the walk's boxes and row blocks,
+#: the probe draw's coordinates and the sampled gather's values.  1 MiB blocks
+#: stay in cache: on a 2 MiB-L2 Xeon, Z_16384 checks twice as fast as at 2^20.
+BLOCK_PAIRS = 1 << 16
+
 
 def _integral(x, name: str) -> int:
     """``x`` as a Python int where it is an integral number of any numeric
@@ -232,40 +237,58 @@ def _probe_pairs(
 
     The pairs depend on (grid, trials, seed) only, so both checks keep them
     between calls; the same seed gives the same pairs on both the torus and
-    the finite-group paths, in any ``dtype``.
+    the finite-group paths, in any ``dtype``.  The draw holds one block of
+    BLOCK_PAIRS coordinates at a time, whatever the number of axes.
     """
     rng = np.random.default_rng(seed)
-    dim = len(grid)
+    rows = max(1, BLOCK_PAIRS // len(grid))
     # a scalar bound draws what the array bound draws (both take numpy's
     # 32-bit Lemire route below 2^32), in less than half the time
     high = grid[0] if len(set(grid)) == 1 else np.asarray(grid)
-    a = rng.integers(0, high, size=(trials, dim), dtype=dtype)
-    b = rng.integers(0, high, size=(trials, dim), dtype=dtype)
-    zero = np.zeros((1, dim), dtype=dtype)
-    a = np.concatenate([zero, a])
-    b = np.concatenate([zero, b])
-    # one axis column at a time: broadcasting the orders over whole (pairs,
-    # dim) arrays would run numpy's inner loops only dim elements long
-    for ax, n in enumerate(grid):
-        ca, cb = a[:, ax], b[:, ax]
-        # 0 <= ca + cb < 2 n: one conditional subtract is the exact mod
-        cab = ca + cb
-        cab -= n * (cab >= n)
-        # row-major flat index by Horner's rule; np.ravel_multi_index would
-        # bounds-check indices drawn inside the grid, 4 ms per 2^20 of them
-        cols = (ca, cb, cab)
-        flat = cols if ax == 0 else tuple(f * n + c for f, c in zip(flat, cols))
-    for f in flat:
+    strides = [math.prod(grid[ax + 1 :]) for ax in range(len(grid))]
+    a, b, ab = (np.zeros(trials + 1, dtype) for _ in range(3))
+    # numpy's bounded draws continue one stream across calls, so all a, then
+    # all b, a block of rows at a time, are the one-shot draw's pairs
+    for out in (a, b):
+        for lo in range(1, trials + 1, rows):
+            block = slice(lo, lo + rows)
+            coords = rng.integers(0, high, size=(len(out[block]), len(grid)), dtype=dtype)
+            above = None  # a's index over earlier axes: ca = index - above * n
+            for c, n, stride in zip(coords.T, grid, strides):
+                out[block] += c * stride if stride > 1 else c
+                if out is b:
+                    index = a[block] // stride if stride > 1 else a[block]
+                    cab = index + c if above is None else index - above * n + c
+                    above = index
+                    # ca + cb < 2 n: one subtract in dtype (an int64 product would cast) is the mod
+                    cab -= np.multiply(cab >= n, n, dtype=dtype)
+                    ab[block] += cab * stride if stride > 1 else cab
+    for f in (a, b, ab):
         f.flags.writeable = False
-    return flat
+    return a, b, ab
 
 
 def _sampled_defect(values: np.ndarray, pairs: tuple[np.ndarray, ...]) -> float:
     """max |f(a (+) b) - f(a) f(b)| of ``values`` over the flat index
-    triples ``pairs`` that :func:`_probe_pairs` draws."""
-    a, b, ab = pairs
-    v = values.ravel()
-    return float(np.abs(v[ab] - v[a] * v[b]).max())
+    triples ``pairs`` that :func:`_probe_pairs` draws.  More than BLOCK_PAIRS
+    pairs are gathered a block at a time into buffers made once: temporaries
+    made per block would pay page faults whenever the allocator returns them."""
+    v, (a, b, ab) = values.ravel(), pairs
+    if a.size <= BLOCK_PAIRS:  # one block, as the torus probe's: no buffers to set up
+        return float(np.abs(v[ab] - v[a] * v[b]).max())
+    x, y = np.empty((2, BLOCK_PAIRS), np.complex128)
+    worst = np.empty(-(-a.size // BLOCK_PAIRS))  # a NaN in any block is the answer
+    for i, lo in enumerate(range(0, a.size, BLOCK_PAIRS)):
+        a, b, ab = (p[lo : lo + BLOCK_PAIRS] for p in pairs)
+        xs, ys = x[: a.size], y[: a.size]
+        # indices lie in the grid; "clip" gathers into out, "raise" via a copy
+        v.take(a, out=xs, mode="clip")
+        v.take(b, out=ys, mode="clip")
+        xs *= ys
+        v.take(ab, out=ys, mode="clip")
+        ys -= xs
+        worst[i] = np.abs(ys, out=xs.real).max()  # xs is spent
+    return float(worst.max())
 
 
 def pointwise_div(f: TorusSamples, g: TorusSamples) -> TorusSamples:

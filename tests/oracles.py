@@ -107,6 +107,32 @@ def oracle_finite_peaks(mag: np.ndarray, orders: tuple[int, ...], count: int) ->
     ]
 
 
+def oracle_probe_pairs(
+    grid: tuple[int, ...], trials: int, seed: int, dtype=np.intp
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The probe draw in one shot: every a, then every b, as whole (trials,
+    dim) coordinate arrays behind a zero row, each axis's (a + b) mod N by
+    one conditional subtract, and read-only flat indices (a, b, a (+) b) by
+    Horner's rule; what the library's blocked draw must give bit for bit."""
+    rng = np.random.default_rng(seed)
+    dim = len(grid)
+    high = grid[0] if len(set(grid)) == 1 else np.asarray(grid)
+    a = rng.integers(0, high, size=(trials, dim), dtype=dtype)
+    b = rng.integers(0, high, size=(trials, dim), dtype=dtype)
+    zero = np.zeros((1, dim), dtype=dtype)
+    a = np.concatenate([zero, a])
+    b = np.concatenate([zero, b])
+    for ax, n in enumerate(grid):
+        ca, cb = a[:, ax], b[:, ax]
+        cab = ca + cb
+        cab -= n * (cab >= n)
+        cols = (ca, cb, cab)
+        flat = cols if ax == 0 else tuple(f * n + c for f, c in zip(flat, cols))
+    for f in flat:
+        f.flags.writeable = False
+    return flat
+
+
 def oracle_hom_residual(values: np.ndarray, trials: int, seed: int) -> float:
     """The seeded sampled-pairs defect max |f(a+b) - f(a) f(b)|, drawn afresh
     on every call and gathered with one index array per axis; the same draws,

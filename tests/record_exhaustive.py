@@ -11,14 +11,15 @@ tests/test_fourier.py, tests/test_cli.py, tests/test_cli_golden.py and
 tests/test_samples.py in this process, two lib-finite and two lib-torus rounds
 of ``bench/workloads.py`` on each of seeds 101 and 102, parses every analyze
 input of one cli-files round (seed 101), written into a temporary directory,
-and checks and walks the tables of MULTI_BLOCK.  OUT gets one line per call,
-sorted.  Each line names the call and
-its input: the input's type, shape and a hash of its values' bytes (the
-endpoints' too, for line samples).  A check's line goes on with ``passes`` and
-``worst.hex()``, an identification's with the index found or None, and a
-residual's with k, the offset and the residual in hex, and a walk's, one
-per window, with the walk's worst defect in hex.  A report's line goes on
-with the verdict, the frequency, ``hom_residual.hex()``,
+checks and walks the tables of MULTI_BLOCK, and checks those of SAMPLED on
+their sampled pairs.  OUT gets one line per call, sorted.  Each line names
+the call and its input: the input's type, shape and a hash of its values'
+bytes (the endpoints' too, for line samples).  A check's line goes on with
+``passes`` and ``worst.hex()``, an identification's with the index found or
+None, a residual's with k, the offset and the residual in hex, a walk's, one
+per window, with the walk's worst defect in hex, and a sampled check's with
+its seed, ``passes`` and ``worst.hex()``.  A report's line goes on with the
+verdict, the frequency, ``hom_residual.hex()``,
 ``spectral_peak.hex()``, the peaks with hex magnitudes and beta in hex.  A
 validate line goes on with each violation's ``where``, index and deviation in
 hex; a call made inside another call of the same function is not recorded, so a
@@ -52,6 +53,11 @@ SEEDS = (101, 102)
 #: negated and random phases are checked and walked on each.
 MULTI_BLOCK = ((16, 8, 8), (6, 5, 4, 3), (5, 1, 9, 1, 8), (3, 4, 3, 4, 3), (3,) * 6, (4,) * 5,
                (2, 3, 2, 3, 2, 3, 2), (2,) * 9, (2,) * 10, (2,) * 11)
+#: Groups above ALL_PAIRS_CAP, from one factor to seventeen: a character, it
+#: with one entry negated and random phases are checked on the sampled
+#: route at each of SAMPLED_SEEDS.
+SAMPLED = ((65537,), (256, 257), (5, 7, 11, 13, 17), (3,) * 11, (2,) * 17)
+SAMPLED_SEEDS = (0, 7)
 TESTS = ("test_finite.py", "test_acceptance.py", "test_identify.py", "test_fourier.py",
          "test_cli.py", "test_cli_golden.py", "test_samples.py")
 
@@ -198,20 +204,37 @@ def _cli_round() -> None:
             charid.cli.parse_input(args.input, args.mode, charid.cli._parse_endpoint(args.endpoint))
 
 
+def _tables(orders: tuple[int, ...]):
+    """A character on ``orders``, it with one entry negated and random phases."""
+    g = charid.FiniteGroupSpec(orders)
+    chi = charid.character_table(g, tuple(min(1, n - 1) for n in orders))
+    negated = chi.values.copy()
+    negated.flat[chi.values.size // 3] *= -1
+    rng = np.random.default_rng(g.size + len(orders))
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=orders))
+    return g, (chi.values, negated, phases)
+
+
 def _multi_block_walks(lines: list) -> None:
     """Check and walk, on both windows, the tables of MULTI_BLOCK."""
     for orders in MULTI_BLOCK:
-        g = charid.FiniteGroupSpec(orders)
-        chi = charid.character_table(g, tuple(min(1, n - 1) for n in orders))
-        negated = chi.values.copy()
-        negated.flat[chi.values.size // 3] *= -1
-        rng = np.random.default_rng(g.size + len(orders))
-        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=orders))
-        for values in (chi.values, negated, phases):
+        g, tables = _tables(orders)
+        for values in tables:
             charid.is_homomorphism_exhaustive(charid.CharacterTable(g, values))
             for full in (False, True):
                 worst = charid.finite._worst_defect_all_pairs(values, full_window=full)
                 lines.append(f"walk {_key(values)} {full} {_hex(worst)}")
+
+
+def _sampled_checks(lines: list) -> None:
+    """Check the tables of SAMPLED on their sampled pairs at each seed."""
+    for orders in SAMPLED:
+        g, tables = _tables(orders)
+        for values in tables:
+            for seed in SAMPLED_SEEDS:
+                t = charid.CharacterTable(g, values)
+                passes, worst = charid.is_homomorphism_exhaustive(t, seed)
+                lines.append(f"sampled {_key(values)} {seed} {passes} {_hex(worst)}")
 
 
 def main(argv: list[str]) -> int:
@@ -226,6 +249,7 @@ def main(argv: list[str]) -> int:
     failed = _bench_rounds()
     _cli_round()
     _multi_block_walks(lines)
+    _sampled_checks(lines)
     Path(argv[0]).write_text("".join(line + "\n" for line in sorted(lines)))
     print(f"{len(lines)} calls recorded in {argv[0]}")
     return 1 if code or failed else 0

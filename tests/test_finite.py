@@ -1150,21 +1150,25 @@ def test_threads_sharing_one_sampled_check_agree():
     assert results[0][1] == oracle_hom_residual(t.values, SAMPLED_PAIRS, 2)
 
 
-@pytest.mark.parametrize("orders", [(ALL_PAIRS_CAP + 1,), (256, 257)])
+@pytest.mark.parametrize("orders", [(ALL_PAIRS_CAP + 1,), (256, 257), (2,) * 17, (3,) * 11])
 def test_sampled_check_memory_is_bounded(orders):
-    # all pairs gathered at once took 72 MiB on either group; now the draw
-    # takes less on a miss, and a kept draw only 1 MiB blocks of values
-    t = character_table(FiniteGroupSpec(orders), (2,) * len(orders))
+    # a draw through whole (pairs, factors) coordinate arrays took 21 to 204
+    # MiB on these groups; the blocked draw holds its int32 indices and one
+    # block of coordinates, and a check whose pairs are kept one block's
+    # buffers of values (all pairs gathered at once took 72 MiB)
+    t = character_table(FiniteGroupSpec(orders), (1,) * len(orders))
     finite._sampled_pairs.cache_clear()
     peaks = []
-    for _ in range(2):
+    for call in (lambda: finite._sampled_pairs(orders, SAMPLED_PAIRS, 1),
+                 lambda: is_homomorphism_exhaustive(t, seed=1)):
         tracemalloc.start()
         try:
-            assert is_homomorphism_exhaustive(t, seed=1)[0]
+            result = call()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] < 48 << 20
+    assert result[0] and finite._sampled_pairs.cache_info().misses == 1
+    assert peaks[0] <= 3 * 4 * (SAMPLED_PAIRS + 1) + (2 << 20)
     assert peaks[1] <= 4_000_000
 
 

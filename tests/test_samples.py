@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charid.finite import BLOCK_PAIRS, SAMPLED_PAIRS
 from charid.finite import CharacterTable, FiniteGroupSpec, character_table
 from charid.fourier import FourierSpectrum, coefficient
 from charid.samples import (
     LineSamples,
     TorusSamples,
     Violation,
+    _probe_pairs,
     pointwise_div,
     sample_character_line,
     sample_character_torus,
@@ -20,7 +22,7 @@ from charid.samples import (
     validate,
 )
 
-from oracles import exhaustive_hom_defect, outer_character
+from oracles import exhaustive_hom_defect, oracle_probe_pairs, outer_character
 
 
 def test_torus_generator_frozen_value():
@@ -257,3 +259,40 @@ def test_line_samples_endpoint_shape_checked():
     base = sample_character_torus(1, 8)
     with pytest.raises(ValueError, match="endpoint"):
         LineSamples(base, np.ones(3, dtype=complex))
+
+
+def _assert_same_draw(grid, trials, seed, dtype):
+    got = _probe_pairs(grid, trials, seed, dtype)
+    want = oracle_probe_pairs(grid, trials, seed, dtype)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape == (trials + 1,)
+        assert np.array_equal(g, w)
+        assert not g.flags.writeable and not w.flags.writeable
+
+
+DRAW_GRIDS = [(7,), (1,), (256, 257), (2, 3), (1, 4, 1), (3, 1, 5), (5, 7, 11, 13, 17),
+              (3,) * 11, (2,) * 17, (2, 3) * 8 + (5, 1), (2,) * 20]
+
+
+@pytest.mark.parametrize(
+    "grid,dtype",
+    [(g, d) for g in DRAW_GRIDS for d in (np.intp, np.int32)]
+    # int32 cannot hold the index sums of an axis above 2^30
+    + [(((1 << 30) + 1,), np.intp), ((2, (1 << 30) + 1), np.intp)],
+    ids=lambda p: "x".join(map(str, p)) if isinstance(p, tuple) else np.dtype(p).name,
+)
+def test_blocked_draw_is_the_one_shot_draw(grid, dtype):
+    # the draw fills its indices BLOCK_PAIRS // dim rows at a time; numpy's
+    # bounded draws continue one stream across calls, so each block edge,
+    # on either side, gives the one-shot draw's pairs, dtype and flags
+    rows = BLOCK_PAIRS // len(grid)
+    for seed in (0, 7, 4711):
+        for trials in (1, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1):
+            _assert_same_draw(grid, trials, seed, dtype)
+
+
+@pytest.mark.parametrize(
+    "grid", [(65537,), (256, 257), (2,) * 17], ids=["65537", "256x257", "2^17"]
+)
+def test_sampled_check_draw_is_the_one_shot_draw(grid):
+    _assert_same_draw(grid, SAMPLED_PAIRS, 3, np.int32)
