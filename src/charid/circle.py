@@ -56,10 +56,11 @@ def root_of_unity_powers(k: int, n: int) -> np.ndarray:
     so every entry is a single rounding away from the true circle point.
     Used for grid characters, transform phases, and finite-group character
     tables alike, which keeps those constructions bit-compatible.  An
-    integer column of k values gives one such row per k.
+    integer column of k values gives the (k_j, m_j) factor of enumeration.
     """
-    m = np.arange(n)
-    return np.exp(2j * np.pi * ((k * m) % n) / n)
+    z = 2j * np.pi * ((k * np.arange(n)) % n)
+    z /= n
+    return np.exp(z, out=z)
 
 
 def character_values(k, grid) -> np.ndarray:

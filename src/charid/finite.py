@@ -30,11 +30,12 @@ import numpy as np
 
 from .circle import UNIT_TOL, character_values, root_of_unity_powers, unit_deviation
 from .fourier import DOMINANCE_FLOOR, _check_floor, _dft
-from .samples import IntVector, _as_int, _as_ints, _as_vector, _freeze
+from .samples import IntVector, _adopt, _as_int, _as_ints, _as_vector, _freeze
 from .samples import BLOCK_PAIRS, _probe_pairs, _sampled_defect
 
-#: Largest group size enumerate_characters accepts.  The |G| tables hold
-#: |G|^2 complex entries, 256 MiB at the cap.
+#: Largest group size enumerate_characters accepts.  Its |G| tables are read-only
+#: views of one (k..., m...) array of |G|^2 complex entries, 256 MiB at the cap,
+#: and enumeration peaks at 384 MiB (see enumerate_characters).
 ENUMERATION_CAP = 1 << 12
 
 #: Largest group size verified over literally all pairs; seeded random pairs
@@ -102,23 +103,21 @@ def character_table(g: FiniteGroupSpec, k: IntVector) -> CharacterTable:
 def enumerate_characters(g: FiniteGroupSpec) -> list[CharacterTable]:
     """All prod(N_j) characters, in row-major order of the index k.
 
-    Every table comes out of one outer product of the per-factor matrices
-    whose row k is root_of_unity_powers(k, N_j), taken in the same order as
-    in :func:`character_table`, so each equals character_table(g, k) bitwise.
-    Groups larger than ENUMERATION_CAP are refused.
+    Factor j's matrix, whose row k is root_of_unity_powers(k, N_j), lies on
+    axes j and d + j of one product in the returned layout (k..., m...), in
+    factor order as in :func:`character_table`, so each table equals
+    character_table(g, k) bitwise.  The tables are read-only views of that
+    array, so a kept table keeps all of it.  The peak is the tables plus one
+    temporary of at most half their size (a whole copy where an order-1
+    factor meets the product of the rest).  Refused above ENUMERATION_CAP.
     """
     if g.size > ENUMERATION_CAP:
         raise ValueError(f"group size {g.size} exceeds enumeration cap {ENUMERATION_CAP}")
-    # axes (k_1, m_1, k_2, m_2, ...), then the k axes brought first
-    tables = reduce(
-        np.multiply.outer,
-        (root_of_unity_powers(np.arange(n)[:, None], n) for n in g.orders),
-    )
-    dims = len(g.orders)
-    tables = tables.transpose(
-        tuple(range(0, 2 * dims, 2)) + tuple(range(1, 2 * dims, 2))
-    )
-    return [CharacterTable(g, tables[k]) for k in np.ndindex(*g.orders)]
+    d = len(g.orders)
+    tables = reduce(np.multiply, (root_of_unity_powers(np.arange(n)[:, None], n).reshape(
+        [n if ax in (j, d + j) else 1 for ax in range(2 * d)]) for j, n in enumerate(g.orders)))
+    (tables if tables.base is None else tables.base).flags.writeable = False  # Z_n: a view
+    return [_adopt(CharacterTable, group=g, values=t) for t in tables.reshape(-1, *g.orders)]
 
 
 def _boxes(shape: tuple[int, ...], budget: int):

@@ -133,7 +133,7 @@ def spectrum(s: TorusSamples) -> FourierSpectrum:
     coeffs = np.empty_like(raw)
     for src, dst in _shift_blocks(s.grid):
         coeffs[dst] = raw[src]
-    return _adopt(FourierSpectrum, s.grid, coeffs=coeffs)
+    return _adopt(FourierSpectrum, grid=s.grid, coeffs=coeffs)
 
 
 def parseval_residual(sp: FourierSpectrum) -> float:

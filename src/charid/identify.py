@@ -181,7 +181,7 @@ def identify_line(ls: LineSamples, cfg: IdentifyConfig = IdentifyConfig()) -> Ch
     """
     betas = tuple(float(t) / TWO_PI for t in principal_angles(ls.endpoint_values))
     g = _line_values(betas, ls.grid)
-    h = _adopt(TorusSamples, ls.grid, values=div_arrays(ls.base.values, g))
+    h = _adopt(TorusSamples, grid=ls.grid, values=div_arrays(ls.base.values, g))
     rep = identify_torus(h, cfg)
     freq = None
     if rep.frequency is not None:

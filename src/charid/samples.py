@@ -146,15 +146,15 @@ class Violation:
     deviation: float
 
 
-def _adopt(cls, grid: tuple[int, ...], **array: np.ndarray):
-    """A frozen ``cls`` on ``grid`` that holds one fresh array (keyword: its
-    field name) no caller references yet, made read-only without the copy
-    ``__post_init__`` makes of caller-owned arrays."""
-    ((name, arr),) = array.items()
-    arr.flags.writeable = False
+def _adopt(cls, **fields):
+    """A frozen ``cls`` holding ``fields`` by name.  Its arrays, fresh ones no
+    caller references yet or views of one, are made read-only without the
+    copy ``__post_init__`` makes of caller-owned arrays."""
     obj = object.__new__(cls)
-    object.__setattr__(obj, "grid", grid)
-    object.__setattr__(obj, name, arr)
+    obj.__dict__.update(fields)  # past the frozen __setattr__
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
     return obj
 
 
@@ -183,7 +183,7 @@ def sample_character_line(alpha: RealVector, grid: IntVector) -> LineSamples:
     aa = _as_vector(alpha, len(g), "alpha", float)
     values = _line_values(aa, g)
     endpoints = np.exp(2j * np.pi * np.asarray(aa))
-    return LineSamples(_adopt(TorusSamples, g, values=values), endpoints)
+    return LineSamples(_adopt(TorusSamples, grid=g, values=values), endpoints)
 
 
 def _line_values(alpha: tuple[float, ...], grid: tuple[int, ...]) -> np.ndarray:

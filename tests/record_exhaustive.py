@@ -1,11 +1,12 @@
-"""Record every finite check and identification, report, translation
-residual and parse, to compare two trees bit for bit.
+"""Record every finite check, identification and enumeration, report,
+translation residual and parse, to compare two trees bit for bit.
 
     PYTHONPATH=src python tests/record_exhaustive.py OUT
 
-wraps ``is_homomorphism_exhaustive``, ``identify_finite``, ``classify``,
-``charid.cli._finite_report``, ``translation_identity_residual``,
-``charid.cli.parse_input`` and ``validate`` wherever charid holds them, then
+wraps ``is_homomorphism_exhaustive``, ``identify_finite``,
+``enumerate_characters``, ``classify``, ``charid.cli._finite_report``,
+``translation_identity_residual``, ``charid.cli.parse_input`` and
+``validate`` wherever charid holds them, then
 runs tests/test_finite.py, tests/test_acceptance.py, tests/test_identify.py,
 tests/test_fourier.py, tests/test_cli.py, tests/test_cli_golden.py and
 tests/test_samples.py in this process, two lib-finite and two lib-torus rounds
@@ -18,7 +19,9 @@ bytes (the endpoints' too, for line samples).  A check's line goes on with
 ``passes`` and ``worst.hex()``, an identification's with the index found or
 None, a residual's with k, the offset and the residual in hex, a walk's, one
 per window, with the walk's worst defect in hex, and a sampled check's with
-its seed, ``passes`` and ``worst.hex()``.  A report's line goes on with the
+its seed, ``passes`` and ``worst.hex()``.  An enumeration's line names the
+group by its orders and goes on with the table count and one hash over every
+table's shape and bytes.  A report's line goes on with the
 verdict, the frequency, ``hom_residual.hex()``,
 ``spectral_peak.hex()``, the peaks with hex magnitudes and beta in hex.  A
 validate line goes on with each violation's ``where``, index and deviation in
@@ -82,6 +85,18 @@ def _hex(x) -> str:
     return str(x)
 
 
+def _group_key(g) -> str:
+    return f"FiniteGroupSpec {g.orders}"
+
+
+def _enumerate_line(g, tables, *_) -> str:
+    digest = hashlib.sha256()
+    for t in tables:
+        digest.update(str(t.values.shape).encode())
+        digest.update(np.ascontiguousarray(t.values))
+    return f"enumerate {_group_key(g)} {len(tables)} {digest.hexdigest()[:16]}"
+
+
 def _check_line(t, result, *_) -> str:
     passes, worst = result
     return f"check {_key(t)} {passes} {_hex(worst)}"
@@ -129,9 +144,10 @@ def _parse_recording(real, lines: list):
     return recorded
 
 
-def _recording(real, kind: str, line, lines: list):
+def _recording(real, kind: str, line, lines: list, key=_key):
     """``real``, appending ``line(input, result, *args)`` to ``lines`` on each
-    call that no other call of ``real`` encloses."""
+    call that no other call of ``real`` encloses, or the exception's type
+    after ``key(input)`` on a call that raises."""
     depth = [0]
 
     def recorded(obj, *args, **kwargs):
@@ -140,7 +156,7 @@ def _recording(real, kind: str, line, lines: list):
             result = real(obj, *args, **kwargs)
         except Exception as err:
             if depth[0] == 1:
-                lines.append(f"{kind} {_key(obj)} raises {type(err).__name__}")
+                lines.append(f"{kind} {key(obj)} raises {type(err).__name__}")
             raise
         finally:
             depth[0] -= 1
@@ -156,14 +172,16 @@ def _wrap(lines: list) -> None:
     targets = (
         ("is_homomorphism_exhaustive", charid.is_homomorphism_exhaustive, "check", _check_line),
         ("identify_finite", charid.identify_finite, "identify", _identify_line),
+        ("enumerate_characters", charid.enumerate_characters, "enumerate", _enumerate_line,
+         _group_key),
         ("classify", charid.classify, "report", _report_line),
         ("_finite_report", charid.cli._finite_report, "report", _report_line),
         ("translation_identity_residual", charid.translation_identity_residual, "residual",
          _residual_line),
         ("validate", charid.validate, "validate", _validate_line),
     )
-    wrapped = [(name, real, _recording(real, kind, line, lines))
-               for name, real, kind, line in targets]
+    wrapped = [(name, real, _recording(real, kind, line, lines, *key))
+               for name, real, kind, line, *key in targets]
     parse = charid.cli.parse_input
     wrapped.append(("parse_input", parse, _parse_recording(parse, lines)))
     for name, real, recorded in wrapped:

@@ -116,6 +116,22 @@ def test_enumeration_cap_refuses_before_allocating():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("orders, bound_mib", [((ENUMERATION_CAP,), 400), ((2,) * 12, 330),
+                                                ((64, 64), 270)])
+def test_enumeration_peak_at_the_cap(orders, bound_mib):
+    # the tables (256 MiB) plus at most one temporary of half their size; an
+    # interleaved product transposed and copied out table by table took 513
+    g = FiniteGroupSpec(orders)
+    tracemalloc.start()
+    try:
+        chars = enumerate_characters(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(chars) == ENUMERATION_CAP
+    assert peak <= bound_mib << 20
+
+
 def test_crt_bijection_z6_vs_z2xz3():
     # m <-> (m mod 2, m mod 3) identifies Z_6 with Z_2 x Z_3 and sends
     # chi_(k1,k2) to chi_(3 k1 + 2 k2 mod 6)
@@ -936,13 +952,22 @@ def test_one_block_route_is_the_plain_route(t, floor):
 
 
 def test_enumeration_equals_character_table_bitwise():
-    for orders in [(6,), (4, 6), (2, 3, 4)]:
+    # order-1 factors, many factors and a group at the cap (64 x 64)
+    last = []
+    for orders in [(1,), (6,), (4, 6), (2, 3, 4), (5, 1, 3), (3,) * 4, (2,) * 6, (64, 64)]:
         g = FiniteGroupSpec(orders)
         chars = enumerate_characters(g)
+        assert len(chars) == g.size
         for k, chi in zip(np.ndindex(*orders), chars):
             ref = character_table(g, k).values
             # equal including the sign of every zero component
             assert np.array_equal(chi.values.view(np.int64), ref.view(np.int64)), k
+            assert chi.values.flags.c_contiguous and not chi.values.flags.writeable
+        last.append(chars[-1])
+    # views of one read-only array: no table can be made writable again
+    for chi in last:
+        with pytest.raises(ValueError):
+            chi.values.flags.writeable = True
 
 
 def test_negated_character_fails_with_defect_two():
