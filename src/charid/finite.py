@@ -107,15 +107,17 @@ def enumerate_characters(g: FiniteGroupSpec) -> list[CharacterTable]:
     axes j and d + j of one product in the returned layout (k..., m...), in
     factor order as in :func:`character_table`, so each table equals
     character_table(g, k) bitwise.  The tables are read-only views of that
-    array, so a kept table keeps all of it.  The peak is the tables plus one
-    temporary of at most half their size (a whole copy where an order-1
-    factor meets the product of the rest).  Refused above ENUMERATION_CAP.
+    array, so a kept table keeps all of it.  Order-1 factors, whose matrix is
+    [1], are left out.  The peak is the tables plus one temporary of at most
+    half their size.  Refused above ENUMERATION_CAP.
     """
     if g.size > ENUMERATION_CAP:
         raise ValueError(f"group size {g.size} exceeds enumeration cap {ENUMERATION_CAP}")
     d = len(g.orders)
-    tables = reduce(np.multiply, (root_of_unity_powers(np.arange(n)[:, None], n).reshape(
-        [n if ax in (j, d + j) else 1 for ax in range(2 * d)]) for j, n in enumerate(g.orders)))
+    factors = (root_of_unity_powers(np.arange(n)[:, None], n).reshape(
+        [n if ax in (j, d + j) else 1 for ax in range(2 * d)])
+        for j, n in enumerate(g.orders) if n > 1)
+    tables = reduce(np.multiply, factors) if g.size > 1 else np.ones(1, np.complex128)
     (tables if tables.base is None else tables.base).flags.writeable = False  # Z_n: a view
     return [_adopt(CharacterTable, group=g, values=t) for t in tables.reshape(-1, *g.orders)]
 
@@ -413,11 +415,11 @@ def _all_pairs_worst(values: np.ndarray) -> float:
     L is cut, p_L <= N_L / 2, so the N_L//2 + 1 consecutive offsets of the
     half window reach every residue mod p_L, and the walk reaches every
     ordered pair of the quotient: the tile is walked with the full window,
-    which takes each of them once.  numpy rounds a product whose operands
-    broadcast to a single element apart from the same product in a longer
-    block, so a constant table's tile is widened to the least prime of N_L
-    along L.  Any other table is offered to the certificate (see
-    _certified_worst) and walked where that declines.
+    which takes each of them once.  Every pair of a constant table is
+    (c, c, c), and numpy rounds c * c apart where its operands broadcast to
+    a single element, so two of its entries are walked instead, as a block
+    of two rounds it as a longer block does.  Any other table is offered to
+    the certificate (see _certified_worst) and walked where that declines.
     """
     shape = values.shape
     n0 = max(shape)
@@ -426,7 +428,7 @@ def _all_pairs_worst(values: np.ndarray) -> float:
         return _worst_defect_all_pairs(values)
     periods = _periods(values)
     if math.prod(periods) == 1:  # a constant table
-        periods = tuple(_prime_factors(n0)[0] if j == longest else 1 for j in range(len(shape)))
+        return _worst_defect_all_pairs(values.reshape(-1)[:2], full_window=True)
     if periods != shape:
         tile = values[tuple(slice(p) for p in periods)]
         return _worst_defect_all_pairs(tile, full_window=periods[longest] < n0)

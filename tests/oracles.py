@@ -10,12 +10,15 @@ purpose; agreement with the fast paths is the point of the comparison.
 
 from __future__ import annotations
 
+import json
 import math
 from functools import reduce
 
 import numpy as np
 
 from charid.circle import root_of_unity_powers
+from charid.finite import FiniteGroupSpec, character_table
+from charid.samples import sample_character_line, sample_character_torus
 
 
 def oracle_spectrum(values: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
@@ -184,3 +187,53 @@ def oracle_torus_fields(
         "spectral_peak": peak,
         "peaks": peaks,
     }
+
+
+def oracle_rows(row: str, sep: str, *columns) -> str:
+    """The rows of ``columns`` through the %-template ``row``, joined by
+    ``sep``, in one format operation over the whole table; a non-finite
+    value raises ValueError."""
+    table = np.column_stack(columns)
+    if not np.isfinite(table).all():
+        raise ValueError("non-finite value in serialized output")
+    return sep.join([row] * len(table)) % tuple(table.ravel().tolist())
+
+
+def oracle_json_pairs(values: np.ndarray) -> str:
+    """``values`` as one JSON array of [re, im] pairs, by :func:`oracle_rows`."""
+    flat = np.asarray(values).ravel()
+    return "[" + oracle_rows("[%.17g,%.17g]", ",", flat.real, flat.imag) + "]"
+
+
+def oracle_fixture(mode: str, freqs: list, grid: list, noise: float = 0.0, seed: int = 0,
+                   csv: bool = False) -> str:
+    """The document ``charid generate`` writes, built whole as one string.
+
+    The samples come from the library's builders; the jitter is drawn in one
+    seeded stream (samples, then endpoints) and applied out of place as
+    values * exp(1j * jitter) reshaped to the grid, and every array is
+    formatted in one piece."""
+    endpoints = None
+    if mode == "torus":
+        values = sample_character_torus(freqs, grid).values
+    elif mode == "line":
+        line = sample_character_line(freqs, grid)
+        values, endpoints = line.base.values, line.endpoint_values
+    else:
+        values = character_table(FiniteGroupSpec(tuple(grid)), freqs).values
+    if noise > 0.0:
+        rng = np.random.default_rng(seed)
+        extra = 0 if endpoints is None else endpoints.size
+        jitter = rng.uniform(-noise, noise, size=values.size + extra)
+        values = values * np.exp(1j * jitter[: values.size]).reshape(values.shape)
+        if endpoints is not None:
+            endpoints = endpoints * np.exp(1j * jitter[values.size :])
+    flat = values.ravel()
+    if csv:
+        rows = oracle_rows("%d,%.17g,%.17g", "\n", np.arange(flat.size), flat.real, flat.imag)
+        return "index,re,im\n" + rows + "\n"
+    head = json.dumps({"mode": mode, "dim": len(grid), "grid": list(grid)}, separators=(",", ":"))
+    doc = head[:-1] + ',"values":' + oracle_json_pairs(flat)
+    if endpoints is not None:
+        doc += ',"endpoint_values":' + oracle_json_pairs(endpoints)
+    return doc + "}\n"

@@ -5,17 +5,18 @@ translation residual and parse, to compare two trees bit for bit.
 
 wraps ``is_homomorphism_exhaustive``, ``identify_finite``,
 ``enumerate_characters``, ``classify``, ``charid.cli._finite_report``,
-``translation_identity_residual``, ``charid.cli.parse_input`` and
-``validate`` wherever charid holds them, then
+``translation_identity_residual``, ``charid.cli.parse_input``,
+``charid.cli.generate`` and ``validate`` wherever charid holds them, then
 runs tests/test_finite.py, tests/test_acceptance.py, tests/test_identify.py,
 tests/test_fourier.py, tests/test_cli.py, tests/test_cli_golden.py and
 tests/test_samples.py in this process, two lib-finite and two lib-torus rounds
 of ``bench/workloads.py`` on each of seeds 101 and 102, parses every analyze
 input of one cli-files round (seed 101), written into a temporary directory,
-checks and walks the tables of MULTI_BLOCK, and checks those of SAMPLED on
-their sampled pairs.  OUT gets one line per call, sorted.  Each line names
-the call and its input: the input's type, shape and a hash of its values'
-bytes (the endpoints' too, for line samples).  A check's line goes on with
+checks and walks the tables of MULTI_BLOCK, checks those of SAMPLED on
+their sampled pairs and checks those of CONSTANT.  OUT gets one line per
+call, sorted.  Each line names the call and its input: the input's type,
+shape and a hash of its values' bytes (the endpoints' too, for line
+samples).  A check's line goes on with
 ``passes`` and ``worst.hex()``, an identification's with the index found or
 None, a residual's with k, the offset and the residual in hex, a walk's, one
 per window, with the walk's worst defect in hex, and a sampled check's with
@@ -29,10 +30,12 @@ hex; a call made inside another call of the same function is not recorded, so a
 function that recurses records as one that loops.  A parse line starts with a
 hash of the file's bytes and the requested mode and endpoint, and ends with the
 parsed input or, for a refused one, the exit code and message, with the path
-written as ``{path}``.  A call that raises records the exception's type
-instead.  Hypothesis runs derandomized, so two trees draw the same inputs, and
-two recordings compare with ``cmp``.  The exit code is 1 when a test or a
-benchmark request fails.
+written as ``{path}``.  A generate line holds the arguments, the output by
+its file name only, and a hash of the written file's bytes.  A constant
+table's line goes on with ``passes`` and ``worst.hex()``.  A call that
+raises records the exception's type instead.  Hypothesis runs derandomized,
+so two trees draw the same inputs, and two recordings compare with ``cmp``.
+The exit code is 1 when a test or a benchmark request fails.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ MULTI_BLOCK = ((16, 8, 8), (6, 5, 4, 3), (5, 1, 9, 1, 8), (3, 4, 3, 4, 3), (3,) 
 #: route at each of SAMPLED_SEEDS.
 SAMPLED = ((65537,), (256, 257), (5, 7, 11, 13, 17), (3,) * 11, (2,) * 17)
 SAMPLED_SEEDS = (0, 7)
+#: Constant tables, c at every entry, each checked at every value of
+#: CONSTANT_VALUES: composite and prime longest axes, up to Z_65521.
+CONSTANT = ((367,), (363,), (2, 367), (5, 7, 11), (65521,))
+CONSTANT_VALUES = (1.0, -1.0, complex(0.9953287307855897, -0.09654386398289214))
 TESTS = ("test_finite.py", "test_acceptance.py", "test_identify.py", "test_fourier.py",
          "test_cli.py", "test_cli_golden.py", "test_samples.py")
 
@@ -144,6 +151,21 @@ def _parse_recording(real, lines: list):
     return recorded
 
 
+def _generate_recording(real, lines: list):
+    """``generate``, appending one ``generate`` line to ``lines`` on each call."""
+
+    def recorded(mode, freqs, grid, output, noise=0.0, seed=0):
+        head = f"generate {mode} {_hex(freqs)} {grid} {Path(output).name!r} {_hex(noise)} {seed}"
+        try:
+            real(mode, freqs, grid, output, noise=noise, seed=seed)
+        except Exception as err:
+            lines.append(f"{head} raises {type(err).__name__}")
+            raise
+        lines.append(f"{head} {_file_hash(output)}")
+
+    return recorded
+
+
 def _recording(real, kind: str, line, lines: list, key=_key):
     """``real``, appending ``line(input, result, *args)`` to ``lines`` on each
     call that no other call of ``real`` encloses, or the exception's type
@@ -182,8 +204,9 @@ def _wrap(lines: list) -> None:
     )
     wrapped = [(name, real, _recording(real, kind, line, lines, *key))
                for name, real, kind, line, *key in targets]
-    parse = charid.cli.parse_input
+    parse, generate = charid.cli.parse_input, charid.cli.generate
     wrapped.append(("parse_input", parse, _parse_recording(parse, lines)))
+    wrapped.append(("generate", generate, _generate_recording(generate, lines)))
     for name, real, recorded in wrapped:
         for mod_name, module in list(sys.modules.items()):
             if mod_name.split(".")[0] == "charid" and getattr(module, name, None) is real:
@@ -255,6 +278,16 @@ def _sampled_checks(lines: list) -> None:
                 lines.append(f"sampled {_key(values)} {seed} {passes} {_hex(worst)}")
 
 
+def _constant_checks(lines: list) -> None:
+    """Check the tables of CONSTANT at each of CONSTANT_VALUES."""
+    for orders in CONSTANT:
+        g = charid.FiniteGroupSpec(orders)
+        for c in CONSTANT_VALUES:
+            values = np.full(orders, c, dtype=np.complex128)
+            passes, worst = charid.is_homomorphism_exhaustive(charid.CharacterTable(g, values))
+            lines.append(f"constant {_key(values)} {passes} {_hex(worst)}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -268,6 +301,7 @@ def main(argv: list[str]) -> int:
     _cli_round()
     _multi_block_walks(lines)
     _sampled_checks(lines)
+    _constant_checks(lines)
     Path(argv[0]).write_text("".join(line + "\n" for line in sorted(lines)))
     print(f"{len(lines)} calls recorded in {argv[0]}")
     return 1 if code or failed else 0

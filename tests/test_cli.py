@@ -29,8 +29,6 @@ from charid.cli import (
     InputError,
     _finite_report,
     _fmt_float,
-    _fmt_rows,
-    _json_pairs,
     _to_json,
     main,
     parse_input,
@@ -38,6 +36,7 @@ from charid.cli import (
 from charid.finite import CharacterTable, FiniteGroupSpec, character_table, identify_finite
 from charid.identify import IdentifyConfig
 from charid.samples import LineSamples, TorusSamples
+from oracles import oracle_fixture
 
 
 def write(path, text):
@@ -240,20 +239,66 @@ def test_generate_writes_floats_as_the_report_formatter(tmp_path, name, argv):
     assert text == want
 
 
+def _written_rows(row, sep, *columns) -> str:
+    """What cli._write_rows writes for these arguments."""
+    fh = io.StringIO()
+    cli._write_rows(fh, row, sep, *columns)
+    return fh.getvalue()
+
+
 def test_batch_float_formatting_matches_one_float_at_a_time():
     parts = [0.0, -0.0, 1.0, -1.0, 0.1, 1 / 3, 5e-324, -2.2250738585072014e-308,
              1.7976931348623157e308, 123456789012345678.0, 6.123233995736766e-17]
     values = np.array(parts) + 1j * np.array(parts[::-1])
     values[1] = complex(-0.0, -0.0)
     pairs = [[v.real, v.imag] for v in values.tolist()]
-    assert _json_pairs(values) == _to_json(pairs)
-    rows = _fmt_rows("%d,%.17g,%.17g", "\n", np.arange(values.size), values.real, values.imag)
+    json_pairs = _written_rows("[%.17g,%.17g]", ",", values.real, values.imag)
+    assert f"[{json_pairs}]" == _to_json(pairs)
+    rows = _written_rows("%d,%.17g,%.17g", "\n", range(values.size), values.real, values.imag)
     assert rows == "\n".join(
         f"{i},{_fmt_float(re)},{_fmt_float(im)}" for i, (re, im) in enumerate(pairs)
     )
     for bad in (math.inf, -math.inf, math.nan):
+        fh = io.StringIO()
         with pytest.raises(ValueError, match="non-finite"):
-            _json_pairs(np.array([1.0, complex(0.0, bad)]))
+            cli._write_rows(fh, "[%.17g,%.17g]", ",", np.array([1.0, 0.0]), np.array([0.0, bad]))
+        assert fh.getvalue() == ""  # the block is refused before it is written
+
+
+@pytest.mark.parametrize("rows", [1, samples.BLOCK_PAIRS - 1, samples.BLOCK_PAIRS,
+                                  samples.BLOCK_PAIRS + 1, 2 * samples.BLOCK_PAIRS + 1])
+@pytest.mark.parametrize("name, mode, noise", [("f.csv", "finite", 0.0), ("t.csv", "torus", 0.3),
+                                               ("f.json", "finite", 0.3), ("t.json", "torus", 0.0),
+                                               ("l.json", "line", 0.2)])
+def test_generate_writes_the_documents_bytes_a_block_at_a_time(tmp_path, rows, name, mode, noise):
+    # the blocks' rows, joined, are the rows of the whole document built at
+    # once, on either side of each block boundary; the jitter applied in
+    # place keeps the out-of-place product's bits
+    if mode != "finite":
+        rows = max(rows, 2)  # torus and line grids start at 2
+    freq = rows // 3 + 0.25 if mode == "line" else rows // 3
+    path = tmp_path / name
+    assert main(["generate", "--mode", mode, f"--freq={freq}", "--grid", str(rows),
+                 "--noise", str(noise), "--seed", "7", "--output", str(path)]) == 0
+    want = oracle_fixture(mode, [freq], [rows], noise, 7, csv=name.endswith(".csv"))
+    assert path.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("j.json", ["--mode", "torus", "--freq", "3,5", "--grid", "512,512", "--noise", "0.05"]),
+    ("t.csv", ["--mode", "torus", "--freq", "3", "--grid", str(1 << 18)]),
+    ("l.json", ["--mode", "line", "--freq", "3.5,5", "--grid", "512,512"]),
+])
+def test_generate_holds_a_fixture_a_few_times_over(tmp_path, name, argv):
+    # the values, the jitter's phases and one block of text: a document
+    # built whole and copied into the file took 10 to 13 times the values
+    tracemalloc.start()
+    try:
+        assert main(["generate", *argv, "--output", str(tmp_path / name)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * (16 << 18)  # six times 2^18 complex values
 
 
 def test_generate_noise_gives_approx(tmp_path, capsys):

@@ -117,10 +117,12 @@ def test_enumeration_cap_refuses_before_allocating():
 
 
 @pytest.mark.parametrize("orders, bound_mib", [((ENUMERATION_CAP,), 400), ((2,) * 12, 330),
-                                                ((64, 64), 270)])
+                                                ((64, 64), 270), ((ENUMERATION_CAP, 1), 400),
+                                                ((1, ENUMERATION_CAP), 400)])
 def test_enumeration_peak_at_the_cap(orders, bound_mib):
     # the tables (256 MiB) plus at most one temporary of half their size; an
-    # interleaved product transposed and copied out table by table took 513
+    # interleaved product transposed and copied out table by table took 513,
+    # and so did multiplying an order-1 factor's [1] into the rest
     g = FiniteGroupSpec(orders)
     tracemalloc.start()
     try:
@@ -639,36 +641,37 @@ def test_one_period_walk_is_the_full_walk(t):
 @pytest.mark.parametrize("orders", [(720,), (24, 24), (2, 2, 180)])
 def test_every_tile_size_is_found_and_walked(monkeypatch, orders):
     # every divisor of every axis as the tile size; with the table's last
-    # entry changed, its repeats hold everywhere but there
+    # entry changed, its repeats hold everywhere but there.  The walks are
+    # compared once every table is checked, so a tree that fails still
+    # checks them all
     calls = _count_full_walks(monkeypatch)
+    walked, expected = [], []
     for seed, tile in enumerate(itertools.product(*map(_divisors, orders))):
         for kind, change in (("exact", None), ("random", None), ("exact", -1)):
             calls.clear()
             periods, _ = _check_one_period_walk(_tiled(orders, tile, kind, None, change, seed))
-            if math.prod(periods) == 1:  # widened on the first longest axis
-                longest = orders.index(max(orders))
-                periods = tuple(
-                    _divisors(n)[1] if j == longest else 1 for j, n in enumerate(orders)
-                )
+            if math.prod(periods) == 1:  # a constant table: two of its entries
+                periods = (2,)
             if periods != orders:  # the check walks the tile, then the test the table
-                assert [c.shape for c in calls] == [periods, orders]
+                walked.append([c.shape for c in calls])
+                expected.append([periods, orders])
+    assert walked == expected
 
 
-@pytest.mark.parametrize("orders", [(363,), (2, 2, 180), (367,), (2, 367)])
+@pytest.mark.parametrize("orders", [(363,), (2, 2, 180), (367,), (2, 367), (5, 7, 11)])
 def test_constant_tables_are_walked_on_more_than_one_element(monkeypatch, orders):
     # value * value rounds one way where its operands broadcast to one element,
     # as they would in the walk of a one-element tile, and another way in
-    # every longer block (numpy 2.4).  The tile is widened to the least
-    # prime of the longest axis, and where that is the whole axis, on a
-    # cyclic group of prime order, the whole table is walked
+    # every longer block (numpy 2.4).  Every pair of a constant table is
+    # (c, c, c), so two of its entries are walked, also where the longest
+    # axis has prime length
     value = complex(0.9953287307855897, -0.09654386398289214)
     t = CharacterTable(FiniteGroupSpec(orders), np.full(orders, value))
     walk = finite._worst_defect_all_pairs(t.values)
     calls = _count_full_walks(monkeypatch)
     _, worst = is_homomorphism_exhaustive(t)
     assert _same_bits(worst, walk)
-    widened = {(363,): (3,), (2, 2, 180): (1, 1, 2), (2, 367): (1, 367)}
-    assert [c.shape for c in calls] == [widened.get(orders, orders)]
+    assert [c.shape for c in calls] == [(2,)]
 
 
 # Tables that repeat, each with one worst pair of the quotient that only the
