@@ -97,7 +97,7 @@ def character_table(g: FiniteGroupSpec, k: IntVector) -> CharacterTable:
     for kj, nj in zip(kk, g.orders):
         if not 0 <= kj < nj:
             raise ValueError(f"character index {kk} outside box {g.orders}")
-    return CharacterTable(g, character_values(kk, g.orders))
+    return _adopt(CharacterTable, group=g, values=character_values(kk, g.orders))
 
 
 def enumerate_characters(g: FiniteGroupSpec) -> list[CharacterTable]:

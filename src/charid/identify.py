@@ -74,11 +74,11 @@ class Verdict(str, enum.Enum):
 class IdentifyConfig:
     """Knobs for classification.
 
-    ``tau_exact`` is floating headroom over exact generator output; ``floor``
-    is the spectral dominance threshold (the default keeps the peak
-    Parseval-unique); ``hom_trials`` random grid pairs probe the
-    multiplicative law, always augmented by the (0, 0) pair so f(0) = 1 is a
-    hard requirement.
+    ``tau_exact`` is floating headroom over exact generator output, bounding
+    both the peak's gap from 1 and the law residual; ``floor`` is the
+    spectral dominance threshold (the default keeps the peak Parseval-unique);
+    ``hom_trials`` random grid pairs probe the multiplicative law, always
+    augmented by the (0, 0) pair so f(0) = 1 is a hard requirement.
     """
 
     tau_exact: float = 1e-9
@@ -129,19 +129,19 @@ def homomorphism_residual(s: TorusSamples, trials: int = 256, seed: int = 0) -> 
 
 
 def _report(
-    peaks: tuple, frequency: tuple | None, law_holds: bool, residual: float, cfg: IdentifyConfig
+    peaks: tuple, frequency: tuple | None, residual: float, cfg: IdentifyConfig
 ) -> CharacterReport:
     """The one verdict rule, for every domain, and the report it gives.
 
     Without a ``frequency`` (no dominant spike) the input is
     ``NotCharacter``.  With one, it is ``ExactCharacter`` when the top
-    magnitude ``peaks[0][1]`` is within ``tau_exact`` of 1 and the
-    multiplicative law holds, and ``ApproxCharacter`` otherwise.
+    magnitude ``peaks[0][1]`` is within ``tau_exact`` of 1 and the law
+    ``residual`` at most ``tau_exact`` (NaN fails), else ``ApproxCharacter``.
     """
     peak = peaks[0][1]
     if frequency is None:
         verdict = Verdict.NOT
-    elif peak >= 1.0 - cfg.tau_exact and law_holds:
+    elif peak >= 1.0 - cfg.tau_exact and residual <= cfg.tau_exact:
         verdict = Verdict.EXACT
     else:
         verdict = Verdict.APPROX
@@ -153,7 +153,7 @@ def identify_torus(s: TorusSamples, cfg: IdentifyConfig = IdentifyConfig()) -> C
     """Classify torus samples and identify the integer frequency.
 
     ``ExactCharacter`` requires the spectral peak within ``tau_exact`` of 1
-    and the multiplicative residual below ``tau_exact``; a peak above
+    and the multiplicative residual at most ``tau_exact``; a peak above
     ``floor`` alone gives ``ApproxCharacter``; anything else is
     ``NotCharacter``.  All outcomes are verdicts, never errors or warnings.
     """
@@ -163,7 +163,7 @@ def identify_torus(s: TorusSamples, cfg: IdentifyConfig = IdentifyConfig()) -> C
     k, peak = peaks[0]
     spike = _dominates(mag, peak, cfg.floor)
     hres = homomorphism_residual(s, cfg.hom_trials, cfg.seed)
-    return _report(peaks, k if spike else None, hres <= cfg.tau_exact, hres, cfg)
+    return _report(peaks, k if spike else None, hres, cfg)
 
 
 @np.errstate(invalid="ignore")

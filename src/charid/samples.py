@@ -82,12 +82,12 @@ def _freeze(obj, field: str, shape: tuple[int, ...], message: str) -> None:
     """Set ``field`` of the frozen ``obj`` to a read-only complex128 copy of
     its value in ``shape``, reshaping a flat value of the right size; any
     other shape raises ValueError(message.format(got_shape, shape))."""
-    arr = np.asarray(getattr(obj, field), dtype=np.complex128)
+    # one conversion and copy; without order="C" a Fortran-ordered input stays so
+    arr = np.array(getattr(obj, field), dtype=np.complex128, order="C")
     if arr.shape != shape:
         if arr.shape != (math.prod(shape),):
             raise ValueError(message.format(arr.shape, shape))
         arr = arr.reshape(shape)
-    arr = arr.copy()
     arr.flags.writeable = False
     object.__setattr__(obj, field, arr)
 
@@ -170,7 +170,7 @@ def sample_character_torus(k: IntVector, grid: IntVector) -> TorusSamples:
     for kj, nj in zip(kk, g):
         if not 2 * abs(kj) < nj:
             raise ValueError(f"|k|={abs(kj)} aliases on an axis of {nj} samples")
-    return TorusSamples(g, character_values(kk, g))
+    return _adopt(TorusSamples, grid=g, values=character_values(kk, g))
 
 
 def sample_character_line(alpha: RealVector, grid: IntVector) -> LineSamples:
@@ -208,7 +208,7 @@ def shift_samples(s: TorusSamples, offset: IntVector) -> TorusSamples:
     (m + offset) mod grid.  Exact, no interpolation."""
     off = _as_vector(offset, s.dim, "offset")
     shifted = np.roll(s.values, tuple(-o for o in off), axis=tuple(range(s.dim)))
-    return TorusSamples(s.grid, shifted)
+    return _adopt(TorusSamples, grid=s.grid, values=shifted)
 
 
 def _as_int(value, name: str, low: int) -> int:
@@ -295,7 +295,7 @@ def pointwise_div(f: TorusSamples, g: TorusSamples) -> TorusSamples:
     """Elementwise renormalized quotient f/g over matching grids."""
     if f.grid != g.grid:
         raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
-    return TorusSamples(f.grid, div_arrays(f.values, g.values))
+    return _adopt(TorusSamples, grid=f.grid, values=div_arrays(f.values, g.values))
 
 
 def validate(s: Union[TorusSamples, LineSamples]) -> list[Violation]:

@@ -13,7 +13,8 @@ tests/test_samples.py in this process, two lib-finite and two lib-torus rounds
 of ``bench/workloads.py`` on each of seeds 101 and 102, parses every analyze
 input of one cli-files round (seed 101), written into a temporary directory,
 checks and walks the tables of MULTI_BLOCK, checks those of SAMPLED on
-their sampled pairs and checks those of CONSTANT.  OUT gets one line per
+their sampled pairs, checks those of CONSTANT and reports those of BAND as
+torus samples and as finite tables.  OUT gets one line per
 call, sorted.  Each line names the call and its input: the input's type,
 shape and a hash of its values' bytes (the endpoints' too, for line
 samples).  A check's line goes on with
@@ -68,6 +69,11 @@ SAMPLED_SEEDS = (0, 7)
 #: CONSTANT_VALUES: composite and prime longest axes, up to Z_65521.
 CONSTANT = ((367,), (363,), (2, 367), (5, 7, 11), (65521,))
 CONSTANT_VALUES = (1.0, -1.0, complex(0.9953287307855897, -0.09654386398289214))
+#: Characters jittered by at most each of BAND_JITTER radians per entry, the
+#: band whose worst defect lies between HOM_TOL and tau_exact: each is
+#: classified as torus samples and reported as a finite table.
+BAND = ((64,), (8, 8), (16384,), (128, 128))
+BAND_JITTER = (1e-12, 1e-11, 1e-10, 3e-10)
 TESTS = ("test_finite.py", "test_acceptance.py", "test_identify.py", "test_fourier.py",
          "test_cli.py", "test_cli_golden.py", "test_samples.py")
 
@@ -288,6 +294,17 @@ def _constant_checks(lines: list) -> None:
             lines.append(f"constant {_key(values)} {passes} {_hex(worst)}")
 
 
+def _band_reports() -> None:
+    """Report the tables of BAND at each of BAND_JITTER on both domains."""
+    for orders in BAND:
+        g, (chi, *_) = _tables(orders)
+        for eps in BAND_JITTER:
+            rng = np.random.default_rng(g.size)
+            values = chi * np.exp(1j * rng.uniform(-eps, eps, orders))
+            charid.classify(charid.TorusSamples(orders, values))
+            charid.cli._finite_report(charid.CharacterTable(g, values), charid.IdentifyConfig())
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -302,6 +319,7 @@ def main(argv: list[str]) -> int:
     _multi_block_walks(lines)
     _sampled_checks(lines)
     _constant_checks(lines)
+    _band_reports()
     Path(argv[0]).write_text("".join(line + "\n" for line in sorted(lines)))
     print(f"{len(lines)} calls recorded in {argv[0]}")
     return 1 if code or failed else 0

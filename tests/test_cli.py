@@ -318,14 +318,18 @@ def test_finite_exact_needs_every_pair_to_pass(tmp_path, capsys):
     assert main(["generate", "--mode", "finite", "--freq", "3", "--grid", "64",
                  "--noise", "0.05", "--seed", "1", "--output", fixture]) == 0
     capsys.readouterr()
-    code, out, _ = run_main(capsys, ["analyze", "--input", fixture, "--mode", "finite",
-                                     "--tau-exact", "0.5"])
+    argv = ["analyze", "--input", fixture, "--mode", "finite", "--tau-exact"]
+    code, out, _ = run_main(capsys, argv + ["0.01"])
     assert code == 0
     rep = json.loads(out)
-    # the peak is within tau_exact of 1, but the exhaustive check fails
-    assert rep["spectral_peak"] >= 0.5 and rep["hom_residual"] > 1e-12
+    # the peak is within tau_exact of 1, but the exhaustive worst is not
+    assert rep["spectral_peak"] >= 0.99 and rep["hom_residual"] > 0.01
     assert rep["verdict"] == "ApproxCharacter"
     assert rep["frequency"] == [3]
+    # the law is held to tau_exact, as on the torus, not to HOM_TOL
+    _, out, _ = run_main(capsys, argv + ["0.5"])
+    rep = json.loads(out)
+    assert rep["hom_residual"] <= 0.5 and rep["verdict"] == "ExactCharacter"
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):

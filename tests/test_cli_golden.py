@@ -39,6 +39,8 @@ FIXTURES = {
     "z64.json": ["--mode", "finite", "--freq", "5", "--grid", "64"],
     "z64n.json": ["--mode", "finite", "--freq", "17", "--grid", "64",
                   "--noise", "0.4", "--seed", "3"],
+    "z64j.json": ["--mode", "finite", "--freq", "5", "--grid", "64",
+                  "--noise", "1e-11", "--seed", "1"],
     "z6x10.json": ["--mode", "finite", "--freq", "2,7", "--grid", "6,10"],
     "z48.csv": ["--mode", "finite", "--freq", "11", "--grid", "48"],
     # every all-pairs route, on both sides of ALL_PAIRS_CAP = 65536
@@ -124,6 +126,8 @@ CASES = {
     "finite64": _analyze("z64.json", "finite"),
     "finite64_text": _analyze("z64.json", "finite", "--format", "text"),
     "finite64_noisy": _analyze("z64n.json", "finite"),
+    # worst defect above HOM_TOL, within tau_exact: the law holds as on the torus
+    "finite64_jittered": _analyze("z64j.json", "finite"),
     "finite6x10": _analyze("z6x10.json", "finite"),
     "finite6x10_text": _analyze("z6x10.json", "finite", "--format", "text"),
     "finite48_csv": _analyze("z48.csv", "finite"),
@@ -265,6 +269,11 @@ GOLDEN = {
     'finite64_noisy': (
         0,
         '{"verdict":"ApproxCharacter","frequency":[17],"hom_residual":1.0123824846227927,"spectral_peak":0.97735351405075888,"peaks":[[[17],0.97735351405075888],[[41],0.056910936155251939],[[57],0.056673874176924266],[[38],0.049907434658444598],[[50],0.048988456445826598]],"config":{"mode":"finite","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002}}\n',
+        '',
+    ),
+    'finite64_jittered': (
+        0,
+        '{"verdict":"ExactCharacter","frequency":[5],"hom_residual":2.724816734545525e-11,"spectral_peak":1,"peaks":[[[5],1],[[48],1.3944161324210105e-12],[[26],1.3944083080694368e-12],[[33],1.3925108814344391e-12],[[41],1.3925092531691039e-12]],"config":{"mode":"finite","tau_exact":1.0000000000000001e-09,"floor":0.90000000000000002}}\n',
         '',
     ),
     'finite6x10': (

@@ -11,12 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charid import identify
-from charid.circle import TWO_PI, principal_angles
+from charid.circle import TWO_PI, character_values, principal_angles
+from charid.cli import _finite_report
 from charid.finite import (
     CharacterTable,
     FiniteGroupSpec,
     character_table,
     is_homomorphism_exhaustive,
+    to_symmetric_freq,
 )
 from charid.fourier import coefficient
 from charid.identify import (
@@ -465,3 +467,52 @@ def test_identify_line_refuses_a_nan_endpoint():
     ls = LineSamples(sample_character_torus(1, 8), [complex(math.nan, 0.0)])
     with pytest.raises(ValueError, match=r"alpha must be finite, got nan"):
         identify_line(ls)
+
+
+@st.composite
+def grid_inputs(draw):
+    """(grid, values): a character chi_k with k in the box prod [0, N_j), the
+    same jittered by at most eps radians per sample, eps log-uniform in
+    [1e-13, 2e-10] or uniform in [1e-3, 0.3], or random phases, on 1-3 axes
+    of 2-39 samples each, at most 4096 samples in all."""
+    grid = []
+    for left in reversed(range(draw(st.integers(1, 3)))):
+        room = 4096 // (math.prod(grid) * 2**left)  # every later axis keeps 2
+        grid.append(draw(st.integers(2, min(39, room))))
+    grid = tuple(grid)
+    kind = draw(st.sampled_from(["character", "tiny", "large", "phases"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "phases":
+        return grid, np.exp(1j * rng.uniform(0.0, TWO_PI, grid))
+    values = character_values([draw(st.integers(0, n - 1)) for n in grid], grid)
+    if kind == "tiny":
+        eps = 10.0 ** draw(st.floats(-13.0, math.log10(2e-10)))
+    else:
+        eps = draw(st.floats(1e-3, 0.3)) if kind == "large" else 0.0
+    return grid, values * np.exp(1j * rng.uniform(-eps, eps, grid))
+
+
+@given(grid_inputs())
+@example(((64,), character_values([1], (64,))
+          * np.exp(1e-10j * np.random.default_rng(0).uniform(-1, 1, 64))))
+@settings(deadline=None, max_examples=300)
+def test_torus_and_finite_reports_of_the_same_samples_agree(inputs):
+    """One verdict rule on both domains: the torus probe's residual and the
+    finite table's worst defect are each held to tau_exact.
+
+    Jitter up to 2e-10 keeps every pair's defect at or below 3 eps, below
+    tau_exact, so the 257-pair probe and the all-pairs check cannot fall on
+    opposite sides of it.  Single-entry defects, which the probe can miss,
+    stay out until the torus law is certified over all pairs.  Peak bits
+    are not compared: the routes divide by the size before and after abs.
+    The example, Z_64 jittered by 1e-10, has a worst defect of 2.9e-10,
+    between HOM_TOL and tau_exact.
+    """
+    grid, values = inputs
+    torus = classify(TorusSamples(grid, values))
+    finite = _finite_report(CharacterTable(FiniteGroupSpec(grid), values), IdentifyConfig())
+    assert torus.verdict == finite.verdict, (torus, finite)
+    if finite.frequency is None:
+        assert torus.frequency is None
+    else:
+        assert torus.frequency == to_symmetric_freq(finite.frequency, grid)

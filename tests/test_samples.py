@@ -148,6 +148,26 @@ def test_flat_input_is_reshaped_into_a_read_only_copy(make, field, message):
         stored[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("make, field, message", CONTAINERS)
+def test_any_layout_is_stored_as_a_c_ordered_copy(make, field, message):
+    want = np.arange(20).reshape(4, 5) * (1 - 2j)
+    for raw in (want, np.asfortranarray(want), want.tolist(), want.astype(np.complex64)):
+        stored = getattr(make(raw), field)
+        assert stored.dtype == np.complex128 and stored.flags.c_contiguous
+        assert np.array_equal(stored, want) and not np.shares_memory(stored, want)
+
+
+def test_builders_hand_over_fresh_read_only_arrays():
+    s = sample_character_torus((1, 2), (4, 5))
+    built = [shift_samples(s, (1, 3)), shift_samples(s, (0, 0)), pointwise_div(s, s)]
+    built = [s.values] + [t.values for t in built]
+    built.append(character_table(FiniteGroupSpec((4, 5)), (1, 2)).values)
+    for values in built:
+        assert values.dtype == np.complex128 and values.shape == (4, 5)
+        assert values.flags.c_contiguous and not values.flags.writeable
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(built) for b in built[:i])
+
+
 def test_endpoints_are_a_read_only_complex_copy():
     ls = LineSamples(sample_character_torus((1, 2), (4, 5)), [1, -1])
     assert ls.endpoint_values.dtype == np.complex128
