@@ -19,6 +19,7 @@ formats, optionally with seeded uniform phase jitter, so round trips
 from __future__ import annotations
 
 import argparse
+import array
 import contextlib
 import gc
 import itertools
@@ -61,9 +62,9 @@ EXIT_INVARIANT = 4
 
 _DEFAULTS = IdentifyConfig()
 
-#: Most samples ``generate`` writes, 64 MiB of complex values, larger grids
-#: refused before any allocation.  Written a block at a time, a fresh process
-#: peaks at 109 MB at the cap, 125 as CSV, 195 jittered (Python 3.11, numpy 2.4, x86-64).
+#: Most samples ``generate`` writes, 64 MiB of complex values, larger grids refused
+#: before any allocation.  Written a block at a time, a fresh process peaks at 109 MB
+#: at the cap, 125 as CSV (714 to analyze), 195 jittered (Python 3.11, numpy 2.4, x86-64).
 GENERATE_CAP = 1 << 22
 
 #: Longest error message printed after "charid: error: ".
@@ -189,13 +190,13 @@ def _pairs_to_complex(field, count: int, what: str) -> np.ndarray:
 
 def _check_unit(values: np.ndarray, what: str) -> None:
     dev = unit_deviation(values)
-    bad = np.argwhere(~(dev <= UNIT_TOL))
-    if bad.size:
-        idx = tuple(int(i) for i in bad[0])
+    bad = ~(dev <= UNIT_TOL)  # NaN is bad too
+    if count := np.count_nonzero(bad):
+        idx = tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
         raise InputError(
             EXIT_INVARIANT,
-            f"{what} violate unit modulus at {len(bad)} point(s); first at index "
-            f"{idx} with deviation {float(dev[tuple(bad[0])]):.3g}",
+            f"{what} violate unit modulus at {count} point(s); first at index "
+            f"{idx} with deviation {float(dev[idx]):.3g}",
         )
 
 
@@ -266,30 +267,30 @@ def _parse_json_input(text: str, mode: str | None):
 
 
 def _parse_csv_input(text: str, mode: str | None, endpoint: complex | None):
-    rows = [line.strip() for line in text.splitlines()]
+    rows = [r for line in text.splitlines() if (r := line.strip())]
     del text  # the rows hold what is left of it
-    rows = [r for r in rows if r]
     if rows and rows[0].lower().replace(" ", "").startswith("index,"):
-        rows = rows[1:]
-    indexed: list[tuple[int, complex]] = []
+        del rows[0]
+    index, parts = [], array.array("d")  # parts: each row's re, im, as complex128 lays them out
     for r in rows:
-        parts = r.split(",")
-        if len(parts) != 3:
+        if len(fields := r.split(",")) != 3:
             raise InputError(EXIT_MALFORMED, f"csv row needs index,re,im: {r!r}")
         try:
-            indexed.append((_int(parts[0]), complex(_float(parts[1]), _float(parts[2]))))
+            index.append(_int(fields[0]))
+            parts.append(_float(fields[1]))
+            parts.append(_float(fields[2]))
         except ValueError:
             raise InputError(EXIT_MALFORMED, f"csv row is not numeric: {r!r}") from None
-    indexed.sort(key=lambda row: row[0])  # complex values do not order
-    if [i for i, _ in indexed] != list(range(len(indexed))):
+    del rows
+    if sorted(index) != list(range(len(index))):
         raise InputError(EXIT_MALFORMED, "csv indices must cover 0..N-1 exactly once")
-    values = np.array([v for _, v in indexed], dtype=np.complex128)
+    values = np.empty(len(index), np.complex128)
+    values[index] = np.frombuffer(parts, np.complex128)
 
     def endpoints() -> np.ndarray:
         if endpoint is None:
             raise InputError(EXIT_MALFORMED, "line mode csv input needs --endpoint re,im")
         return np.array([endpoint], dtype=np.complex128)
-
     effective = mode if mode is not None else ("line" if endpoint is not None else "torus")
     return _build(effective, (len(values),), lambda: values, endpoints, "endpoint")
 
@@ -483,9 +484,11 @@ def generate(
 def _error_line(message: str) -> str:
     """The one diagnostic line for ``message``: integers of more than 20
     digits, which argv can make of any length, shortened to their leading
-    digits and exponent, and what is still past ERROR_CHARS cut from the
-    middle."""
+    digits and exponent, every line boundary of str.splitlines (a path can
+    hold one) written as its backslash escape, and what is still past
+    ERROR_CHARS cut from the middle."""
     message = re.sub(r"\d{21,}", lambda m: f"{m[0][0]}.{m[0][1:4]}e+{len(m[0]) - 1}", message)
+    message = re.sub("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]", lambda m: repr(m[0])[1:-1], message)
     if len(message) > ERROR_CHARS:
         half = (ERROR_CHARS - 5) // 2
         message = f"{message[:half]} ... {message[-half:]}"

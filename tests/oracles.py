@@ -237,3 +237,34 @@ def oracle_fixture(mode: str, freqs: list, grid: list, noise: float = 0.0, seed:
     if endpoints is not None:
         doc += ',"endpoint_values":' + oracle_json_pairs(endpoints)
     return doc + "}\n"
+
+
+def oracle_csv_values(text: str):
+    """The values of the CSV table ``text`` as a reader that holds each row
+    as an (index, complex) tuple and sorts them takes them, or (exit code,
+    message) of the first fault: a row of the wrong arity or with a field
+    that is not ASCII decimal text (Unicode digits and "_" refused), then
+    indices that do not cover 0..N-1 exactly once."""
+    def number(kind, field):
+        if not field.isascii() or "_" in field:
+            raise ValueError(field)
+        return kind(field)
+
+    rows = [line.strip() for line in text.splitlines()]
+    rows = [r for r in rows if r]
+    if rows and rows[0].lower().replace(" ", "").startswith("index,"):
+        rows = rows[1:]
+    indexed = []
+    for r in rows:
+        parts = r.split(",")
+        if len(parts) != 3:
+            return 3, f"csv row needs index,re,im: {r!r}"
+        try:
+            indexed.append((number(int, parts[0]),
+                            complex(number(float, parts[1]), number(float, parts[2]))))
+        except ValueError:
+            return 3, f"csv row is not numeric: {r!r}"
+    indexed.sort(key=lambda row: row[0])  # complex values do not order
+    if [i for i, _ in indexed] != list(range(len(indexed))):
+        return 3, "csv indices must cover 0..N-1 exactly once"
+    return np.array([v for _, v in indexed], dtype=np.complex128)

@@ -12,10 +12,11 @@ tests/test_fourier.py, tests/test_cli.py, tests/test_cli_golden.py and
 tests/test_samples.py in this process, two lib-finite and two lib-torus rounds
 of ``bench/workloads.py`` on each of seeds 101 and 102, parses every analyze
 input of one cli-files round (seed 101), written into a temporary directory,
-checks and walks the tables of MULTI_BLOCK, checks those of SAMPLED on
-their sampled pairs, checks those of CONSTANT and reports those of BAND as
-torus samples and as finite tables.  OUT gets one line per
-call, sorted.  Each line names the call and its input: the input's type,
+parses a CSV table of CSV_ROWS rows and its copies with each fault of
+CSV_FAULTS planted, checks and walks the tables of MULTI_BLOCK, checks those
+of SAMPLED on their sampled pairs, checks those of CONSTANT and reports those
+of BAND as torus samples and as finite tables.  OUT gets one line per call,
+sorted.  Each line names the call and its input: the input's type,
 shape and a hash of its values' bytes (the endpoints' too, for line
 samples).  A check's line goes on with
 ``passes`` and ``worst.hex()``, an identification's with the index found or
@@ -41,6 +42,7 @@ The exit code is 1 when a test or a benchmark request fails.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import sys
 import tempfile
@@ -74,6 +76,17 @@ CONSTANT_VALUES = (1.0, -1.0, complex(0.9953287307855897, -0.09654386398289214))
 #: classified as torus samples and reported as a finite table.
 BAND = ((64,), (8, 8), (16384,), (128, 128))
 BAND_JITTER = (1e-12, 1e-11, 1e-10, 3e-10)
+#: Rows of the CSV tables: a torus character, signed zeros among its first
+#: entries, shuffled and written with \r\n endings after a header.  One
+#: table is clean; each other has the faults of one (index, row) of
+#: CSV_FAULTS planted, as the property test on the CSV reader plants them:
+#: row 10's index made a duplicate, past the end, negative or above 2^63, a
+#: row of the wrong arity or not numeric put in the middle, or both.
+CSV_ROWS = 1 << 17
+CSV_FAULTS = ((5, None), (CSV_ROWS, None), (-1, None), (2**63 + 1, None),
+              *((None, r) for r in ("1,0", "1,0,0,0", "x", ",,", "1,one,0", "0,1,0x1",
+                                    "\u0661,1,0", "1_0,1,0", "1,1,\u0660")),
+              (5, "1,0"))
 TESTS = ("test_finite.py", "test_acceptance.py", "test_identify.py", "test_fourier.py",
          "test_cli.py", "test_cli_golden.py", "test_samples.py")
 
@@ -251,6 +264,27 @@ def _cli_round() -> None:
             charid.cli.parse_input(args.input, args.mode, charid.cli._parse_endpoint(args.endpoint))
 
 
+def _csv_reads() -> None:
+    """Parse the clean CSV table and each faulty copy once, as torus samples,
+    in this process."""
+    values = charid.sample_character_torus([5], [CSV_ROWS]).values
+    fields = [[repr(v.real), repr(v.imag)] for v in values.tolist()]
+    fields[:4] = [["1", "-0.0"], ["-0.0", "1"], ["-1", "0.0"], ["0.0", "-1.0"]]
+    order = np.random.default_rng(CSV_ROWS).permutation(CSV_ROWS).tolist()
+    clean = [f"{i},{fields[i][0]},{fields[i][1]}" for i in order]
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, (index, row) in enumerate(((None, None), *CSV_FAULTS)):
+            rows = list(clean)
+            if index is not None:
+                rows[10] = f"{index},{rows[10].split(',', 1)[1]}"
+            if row is not None:
+                rows.insert(CSV_ROWS // 2, row)
+            path = Path(tmp) / f"t{n}.csv"
+            path.write_bytes("\r\n".join(["index,re,im", *rows, ""]).encode("utf-8"))
+            with contextlib.suppress(charid.cli.InputError):
+                charid.cli.parse_input(str(path), "torus")
+
+
 def _tables(orders: tuple[int, ...]):
     """A character on ``orders``, it with one entry negated and random phases."""
     g = charid.FiniteGroupSpec(orders)
@@ -316,6 +350,7 @@ def main(argv: list[str]) -> int:
     code = pytest.main(["-q", "-p", "no:cacheprovider", *(str(ROOT / "tests" / t) for t in TESTS)])
     failed = _bench_rounds()
     _cli_round()
+    _csv_reads()
     _multi_block_walks(lines)
     _sampled_checks(lines)
     _constant_checks(lines)

@@ -36,7 +36,7 @@ from charid.cli import (
 from charid.finite import CharacterTable, FiniteGroupSpec, character_table, identify_finite
 from charid.identify import IdentifyConfig
 from charid.samples import LineSamples, TorusSamples
-from oracles import oracle_fixture
+from oracles import oracle_csv_values, oracle_fixture
 
 
 def write(path, text):
@@ -170,6 +170,118 @@ def test_parse_csv_line_needs_endpoint(tmp_path):
     with pytest.raises(InputError) as err:
         parse_input(p, mode="line")
     assert err.value.code == EXIT_MALFORMED
+
+
+#: CSV field spellings: signed zeros, the least subnormal, the largest
+#: magnitudes, NaN of either sign, infinities and integers
+_CSV_FIELDS = ["-0.0", "0.0", "0", "5e-324", "1e308", "-1e308", "nan", "-nan", "inf", "-inf",
+               "1", "-3", "12"]
+#: Rows of the wrong arity, then rows with a field that is not ASCII decimal text
+_CSV_BAD_ROWS = ["1,0", "1,0,0,0", "x", ",,", "1,one,0", "0,1,0x1", "\u0661,1,0", "1_0,1,0",
+                 "1,1,\u0660"]
+
+
+@st.composite
+def _csv_tables(draw):
+    """CSV text of up to 12 rows in any order: indices with at most one
+    duplicate, gap, negative or one above 2^63 planted, fields of every
+    special spelling, 17-digit values and integers, any line ending, blank
+    and whitespace-only rows, no header or either spelling of it, and at
+    most one row of the wrong arity or not numeric, anywhere."""
+    n = draw(st.integers(0, 12))
+    indices = list(draw(st.permutations(range(n))))
+    if n and draw(st.booleans()):
+        planted = st.integers(-3, n + 2) | st.integers(2**63 - 2, 2**64 + 2)
+        indices[draw(st.integers(0, n - 1))] = draw(planted)
+    fields = (st.sampled_from(_CSV_FIELDS)
+              | st.floats(allow_nan=False).map(lambda x: format(x, ".17g"))
+              | st.integers(-10**6, 10**6).map(str))
+    sep = draw(st.sampled_from([",", ", "]))
+    rows = [sep.join((str(i), draw(fields), draw(fields))) for i in indices]
+    for row in draw(st.lists(st.sampled_from(["", "  ", " \t "]), max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(_CSV_BAD_ROWS)))
+    rows[:0] = draw(st.sampled_from([[], ["index,re,im"], ["Index, Re, Im"]]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"]))
+    return end.join(rows) + draw(st.sampled_from(["", end]))
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@given(text=_csv_tables())
+@settings(deadline=None, max_examples=300)
+def test_csv_reader_matches_the_tuple_and_sort_oracle(csv_dir, text):
+    # _build, which the JSON reader shares, returns the values unchecked, so
+    # empty tables and values off the circle compare too
+    path = csv_dir / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = oracle_csv_values(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_build", lambda mode, grid, values, endpoints, ep_name: values())
+        try:
+            got = parse_input(str(path), mode="torus")
+        except InputError as err:
+            got = (err.code, str(err))
+    if isinstance(want, tuple):
+        event("refused")
+        assert isinstance(got, tuple) and got == want
+    else:
+        event("read")
+        assert isinstance(got, np.ndarray) and got.dtype == np.complex128
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_csv_reader_holds_a_table_a_few_times_over(tmp_path):
+    # each row held as a string, an (int, complex) tuple and a complex, the
+    # tuples sorted and the complexes listed again: 17 times the values
+    n = 1 << 18
+    path = str(tmp_path / "f.csv")
+    assert main(["generate", "--mode", "finite", "--freq", "5", "--grid", str(n),
+                 "--output", path]) == 0
+    tracemalloc.start()
+    try:
+        table = parse_input(path, mode="finite")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.values.size == n
+    assert peak <= 12 * 16 * n
+
+
+def _off_circle(kind):
+    values = np.ones((64, 64, 64), dtype=np.complex128)
+    if kind == "everywhere":
+        values *= np.linspace(1.5, 2.5, values.size).reshape(values.shape)
+    else:
+        values[1, 60, 7] = complex("nan+1j")
+        values[3, 17, 40] = 1.25j
+    return values
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("everywhere", "values violate unit modulus at 262144 point(s); first at index (0, 0, 0) "
+                   "with deviation 0.5"),
+    ("one_and_nan", "values violate unit modulus at 2 point(s); first at index (1, 60, 7) "
+                    "with deviation nan"),
+], ids=["everywhere", "one_and_nan"])
+def test_unit_check_keeps_only_what_its_message_needs(kind, message):
+    # every bad point's index, a (bad, 3) int64 array, took 3 times dev
+    values = _off_circle(kind)
+    dev_bytes = 8 * values.size
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as err:
+            cli._check_unit(values, "values")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == EXIT_INVARIANT
+    assert str(err.value) == message
+    assert peak <= 2.5 * dev_bytes
 
 
 # -- analyze / generate through main ------------------------------------------
@@ -944,7 +1056,37 @@ def _assert_one_error_line(code, out, err):
     assert code in (EXIT_USAGE, EXIT_MISSING_FILE, EXIT_MALFORMED, EXIT_INVARIANT)
     assert out == ""
     assert err.startswith("charid: error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.splitlines()) == 1
     assert len(err) <= len("charid: error: \n") + cli.ERROR_CHARS
+
+
+#: Every line boundary of str.splitlines, and the escape a diagnostic writes for it
+_LINE_BREAKS = {"\n": "\\n", "\r": "\\r", "\x0b": "\\x0b", "\x0c": "\\x0c",
+                "\x1c": "\\x1c", "\x1d": "\\x1d", "\x1e": "\\x1e", "\x85": "\\x85",
+                "\u2028": "\\u2028", "\u2029": "\\u2029"}
+
+
+@pytest.mark.parametrize("brk", sorted(_LINE_BREAKS))
+def test_a_line_break_in_a_path_is_escaped_in_one_error_line(tmp_path, monkeypatch, brk):
+    # the path was echoed raw, so the diagnostic went on over a second line
+    monkeypatch.chdir(tmp_path)
+    esc = _LINE_BREAKS[brk]
+    (tmp_path / f"bad{brk}.json").write_bytes(b"\xff")
+    (tmp_path / f"dir{brk}.json").mkdir()
+    for argv, code, text in [
+        (["analyze", "--input", f"no{brk}such.json", "--mode", "torus"], EXIT_MISSING_FILE,
+         f"no such file: no{esc}such.json"),
+        (["analyze", "--input", f"bad{brk}.json", "--mode", "torus"], EXIT_MALFORMED,
+         f"bad{esc}.json is not valid utf-8 text"),
+        (["analyze", "--input", f"dir{brk}.json", "--mode", "torus"], EXIT_MISSING_FILE,
+         f"cannot read dir{esc}.json: "),
+        (["generate", "--mode", "torus", "--freq", "1", "--grid", "8",
+          "--output", f"missing/x{brk}y.json"], EXIT_MISSING_FILE,
+         f"cannot write missing/x{esc}y.json: "),
+    ]:
+        got, out, err = _run_quietly(argv)
+        _assert_one_error_line(got, out, err)
+        assert got == code and text in err, argv
 
 
 @pytest.mark.parametrize(
@@ -1052,7 +1194,8 @@ def _hostile_argv(draw, d):
     if draw(st.booleans()):
         inputs = mostly(
             st.sampled_from(["t8.json", "l8.json", "z8.json", "t8.csv"]),
-            st.sampled_from(["absent.json", "", ".", "no/dir.json", "a\x00b.json"]),
+            st.sampled_from(["absent.json", "", ".", "no/dir.json", "a\x00b.json"])
+            | st.sampled_from(sorted(_LINE_BREAKS)).map(lambda c: f"no{c}such.json"),
         )
         required = {"--input": inputs.map(lambda n: str(d / n)), "--mode": modes}
         optional = {
@@ -1072,7 +1215,9 @@ def _hostile_argv(draw, d):
                              .map(",".join), _argv_lists()),
             "--grid": _argv_grids(),
             "--output": mostly(st.sampled_from(["out.json", "out.csv"]),
-                               st.sampled_from(["no/dir.json", "", ".", "a\x00b.json"]))
+                               st.sampled_from(["no/dir.json", "", ".", "a\x00b.json"])
+                               | st.sampled_from(sorted(_LINE_BREAKS))
+                               .map(lambda c: f"no/x{c}y.json"))
                         .map(lambda n: str(d / n)),
         }
         optional = {
