@@ -3,10 +3,12 @@
 Every sampled function handled by this package takes values in the
 multiplicative group of unit-modulus complex numbers, held as complex128
 arrays.  This module provides the few array operations the pipeline needs:
-renormalization, the renormalized quotient a * conj(b) (so modulus drift
-cannot accumulate), the principal angle in [0, 2*pi), the distance from the
-unit circle that input checking measures, and the roots of unity every
-character, transform phase and finite table is built from.
+the renormalized quotient a * conj(b) (so modulus drift cannot accumulate),
+the principal angle in [0, 2*pi), the distance from the unit circle that
+input checking measures, and the roots of unity every character, transform
+phase and finite table is built from.  The distance is computed in the one
+float array it returns; the quotient in the one complex array it returns,
+beside its float modulus and, below 16384 elements, a temporary conj(b).
 
 All functions are pure, so everything here is safe for unrestricted
 concurrent use.
@@ -25,15 +27,12 @@ TWO_PI = 2.0 * math.pi
 UNIT_TOL = 1e-9
 
 
-def renormalize(z: np.ndarray) -> np.ndarray:
-    """Divide each element by its modulus, restoring unit modulus exactly
-    up to rounding."""
-    return z / np.abs(z)
-
-
 def div_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise renormalized quotient a * conj(b)."""
-    return renormalize(a * np.conj(b))
+    """Elementwise renormalized quotient a * conj(b), divided in place by its modulus."""
+    # numpy reuses the conj(b) temporary from 16384 elements up and multiplies conj(b) * a
+    # there: complex products are not bitwise commutative, so keep this spelling
+    z = a * np.conj(b)
+    return np.divide(z, np.abs(z), out=z)
 
 
 def principal_angles(z: np.ndarray) -> np.ndarray:
@@ -45,8 +44,9 @@ def principal_angles(z: np.ndarray) -> np.ndarray:
 
 
 def unit_deviation(z: np.ndarray) -> np.ndarray:
-    """Elementwise | |z| - 1 |."""
-    return np.abs(np.abs(z) - 1.0)
+    """Elementwise | |z| - 1 |, computed in the one float array it returns."""
+    d = np.abs(z)
+    return np.abs(np.subtract(d, 1.0, out=d), out=d)
 
 
 def root_of_unity_powers(k: int, n: int) -> np.ndarray:

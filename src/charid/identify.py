@@ -180,9 +180,8 @@ def identify_line(ls: LineSamples, cfg: IdentifyConfig = IdentifyConfig()) -> Ch
     onto that window, undetectably from the data.
     """
     betas = tuple(float(t) / TWO_PI for t in principal_angles(ls.endpoint_values))
-    g = _line_values(betas, ls.grid)
-    h = _adopt(TorusSamples, grid=ls.grid, values=div_arrays(ls.base.values, g))
-    rep = identify_torus(h, cfg)
+    values = div_arrays(ls.base.values, _line_values(betas, ls.grid))
+    rep = identify_torus(_adopt(TorusSamples, grid=ls.grid, values=values), cfg)
     freq = None
     if rep.frequency is not None:
         freq = tuple(kj + bj for kj, bj in zip(rep.frequency, betas))

@@ -1,7 +1,7 @@
 """Record every finite check, identification and enumeration, report,
 translation residual and parse, to compare two trees bit for bit.
 
-    PYTHONPATH=src python tests/record_exhaustive.py OUT
+    PYTHONPATH=src python tests/record_exhaustive.py OUT [PYTEST_ARGS...]
 
 wraps ``is_homomorphism_exhaustive``, ``identify_finite``,
 ``enumerate_characters``, ``classify``, ``charid.cli._finite_report``,
@@ -37,7 +37,10 @@ its file name only, and a hash of the written file's bytes.  A constant
 table's line goes on with ``passes`` and ``worst.hex()``.  A call that
 raises records the exception's type instead.  Hypothesis runs derandomized,
 so two trees draw the same inputs, and two recordings compare with ``cmp``.
-The exit code is 1 when a test or a benchmark request fails.
+Arguments after OUT go to ``pytest.main`` after the test files, so two trees
+can deselect the same tests, say ones a change adds that the other tree
+fails, with ``-k 'not name'`` or ``--deselect``.  The exit code is 1 when a
+test or a benchmark request fails.
 """
 
 from __future__ import annotations
@@ -340,14 +343,15 @@ def _band_reports() -> None:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if not argv:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
     lines: list[str] = []
     _wrap(lines)
     settings.register_profile("record", derandomize=True, database=None)
     settings.load_profile("record")
-    code = pytest.main(["-q", "-p", "no:cacheprovider", *(str(ROOT / "tests" / t) for t in TESTS)])
+    tests = (str(ROOT / "tests" / t) for t in TESTS)
+    code = pytest.main(["-q", "-p", "no:cacheprovider", *tests, *argv[1:]])
     failed = _bench_rounds()
     _cli_round()
     _csv_reads()

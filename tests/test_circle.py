@@ -1,6 +1,7 @@
 """Unit-circle arithmetic: group laws, branch conventions, renormalization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from charid.circle import (
     TWO_PI,
     div_arrays,
     principal_angles,
-    renormalize,
     root_of_unity_powers,
     unit_deviation,
 )
@@ -86,13 +86,53 @@ def test_angle_round_trip(thetas):
     assert np.abs(unit(back) - unit(thetas)).max() < 1e-12
 
 
-def test_renormalize_restores_unit_modulus():
+def test_div_arrays_by_one_restores_unit_modulus():
     rng = np.random.default_rng(11)
     z = (0.2 + 2.0 * rng.random(64)) * np.exp(1j * rng.uniform(0, TWO_PI, 64))
-    out = renormalize(z)
+    out = div_arrays(z, np.ones_like(z))
     assert unit_deviation(out).max() < 1e-15
     # direction preserved
     assert np.allclose(np.angle(out), np.angle(z))
+
+
+def _two_step_quotient(a, b):
+    """a * conj(b), then that divided by its modulus into a fresh array."""
+    z = a * np.conj(b)
+    return z / np.abs(z)
+
+
+@pytest.mark.parametrize("n", [8192, 16384, 1 << 20])
+def test_div_arrays_matches_the_two_step_quotient_bitwise(n):
+    # 16384 complex elements is where numpy starts to reuse the conj(b)
+    # temporary, computing conj(b) * a, whose bits differ from a * conj(b)
+    rng = np.random.default_rng(n)
+    a, b = ((0.25 + 2.0 * rng.random(n)) * np.exp(1j * rng.uniform(0, TWO_PI, n))
+            for _ in range(2))
+    special = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), np.inf, -np.inf,
+                        complex(0, np.inf), complex(-np.inf, 1), np.nan, complex(1, np.nan),
+                        1e-300, 1e300])
+    k = special.size
+    # special by special, special by a regular value and the other way round
+    a[:k], b[:k] = special, special[::-1]
+    a[k : 2 * k] = b[2 * k : 3 * k] = special
+    a[n // 2 : n // 2 + k] = b[n // 2 : n // 2 + k] = special
+    with np.errstate(all="ignore"):
+        got, want = div_arrays(a, b), _two_step_quotient(a, b)
+    assert got.dtype == np.complex128 and got.shape == (n,)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_unit_deviation_holds_only_its_result():
+    z = (1.0 + np.linspace(-0.5, 0.5, 1 << 20)) * np.exp(1j * np.linspace(0, 6, 1 << 20))
+    tracemalloc.start()
+    try:
+        dev = unit_deviation(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dev.nbytes == 8 << 20
+    assert peak <= 1.25 * dev.nbytes  # a second float array would read 2x
+    np.testing.assert_array_equal(dev, np.abs(np.abs(z) - 1.0))
 
 
 def test_root_of_unity_powers_exact_start_and_law():

@@ -469,6 +469,22 @@ def test_identify_line_refuses_a_nan_endpoint():
         identify_line(ls)
 
 
+def test_line_classify_frees_the_divisor_before_the_torus_stage():
+    # holding the divisor exp(i beta.x) through the torus stage reads 4.09x
+    ls = sample_character_line([3.25, -2.5], [512, 512])
+    rng = np.random.default_rng(5)
+    jitter = np.exp(1j * rng.uniform(-1e-3, 1e-3, ls.grid))
+    ls = LineSamples(TorusSamples(ls.grid, ls.base.values * jitter), ls.endpoint_values)
+    tracemalloc.start()
+    try:
+        rep = classify(ls)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == Verdict.APPROX and rep.frequency == pytest.approx((3.25, -2.5))
+    assert peak <= 3.25 * ls.base.values.nbytes
+
+
 @st.composite
 def grid_inputs(draw):
     """(grid, values): a character chi_k with k in the box prod [0, N_j), the
