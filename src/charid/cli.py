@@ -333,10 +333,10 @@ def _report_dict(rep: CharacterReport, cfg: IdentifyConfig, mode: str) -> dict:
 def _finite_report(table: CharacterTable, cfg: IdentifyConfig) -> CharacterReport:
     """Classify a finite table by the same verdict rule as the torus.
 
-    The multiplicative law is checked exhaustively (or on a large seeded
-    sample for very big groups), so hom_residual here is a worst case over
-    checked pairs, not a spot probe, held to ``tau_exact`` like the torus
-    probe's.  Frequencies are character indices in the box prod [0, N_j).
+    The multiplicative law is checked exhaustively (or, above ALL_PAIRS_CAP,
+    on one fixed sample of pairs per group), so hom_residual is a worst case
+    over checked pairs, not a spot probe, held to ``tau_exact`` like the
+    torus probe's.  Frequencies are character indices in the box prod [0, N_j).
     """
     _, worst = is_homomorphism_exhaustive(table)
     mags = np.abs(_dft(table.values)).ravel() / table.group.size

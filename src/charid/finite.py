@@ -30,7 +30,7 @@ import numpy as np
 
 from .circle import UNIT_TOL, character_values, root_of_unity_powers, unit_deviation
 from .fourier import DOMINANCE_FLOOR, _check_floor, _dft
-from .samples import IntVector, _adopt, _as_int, _as_ints, _as_vector, _freeze
+from .samples import IntVector, _adopt, _as_ints, _as_vector, _freeze
 from .samples import BLOCK_PAIRS, _probe_pairs, _sampled_defect
 
 #: Largest group size enumerate_characters accepts.  Its |G| tables are read-only
@@ -38,8 +38,8 @@ from .samples import BLOCK_PAIRS, _probe_pairs, _sampled_defect
 #: and enumeration peaks at 384 MiB (see enumerate_characters).
 ENUMERATION_CAP = 1 << 12
 
-#: Largest group size verified over literally all pairs; seeded random pairs
-#: are used above it to keep the check bounded.
+#: Largest group size verified over literally all pairs; one fixed draw of
+#: pairs per group is used above it to keep the check bounded.
 ALL_PAIRS_CAP = 1 << 16
 
 #: Number of sampled pairs used beyond ALL_PAIRS_CAP.
@@ -437,43 +437,39 @@ def _all_pairs_worst(values: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=2)
-def _sampled_pairs(
-    orders: tuple[int, ...], trials: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sampled check's pairs, _probe_pairs(orders, trials, seed), as
+def _sampled_pairs(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sampled check's pairs, _probe_pairs(orders, SAMPLED_PAIRS, 0), as
     int32 indices where the group has at most 2^30 elements, so that no
     index sum overflows, and int64 ones otherwise: 12 MB for
     SAMPLED_PAIRS + 1 pairs in int32.
 
-    They depend on these three only, so each key is drawn once; two entries
-    serve a caller that alternates between two large groups or seeds, and a
-    third key evicts the oldest.  The arrays are read-only and lru_cache is
+    They depend on the orders only, so each group is drawn once; two entries
+    serve a caller that alternates between two large groups, and a third
+    evicts the oldest.  The arrays are read-only and lru_cache is
     thread-safe, so concurrent callers may share them.
     """
     dtype = np.int32 if math.prod(orders) <= 1 << 30 else np.int64
-    return _probe_pairs(orders, trials, seed, dtype)
+    return _probe_pairs(orders, SAMPLED_PAIRS, 0, dtype)
 
 
-def is_homomorphism_exhaustive(t: CharacterTable, seed: int = 0) -> tuple[bool, float]:
+def is_homomorphism_exhaustive(t: CharacterTable) -> tuple[bool, float]:
     """Verify t(a+b) = t(a) t(b), returning (passes, worst defect); it passes
     when the worst defect is at most HOM_TOL.
 
     Literally every pair is checked up to ALL_PAIRS_CAP group elements:
     a table that repeats along an axis is walked on one period, and other
     pairs are certified unchecked where they can be (see _all_pairs_worst),
-    always with the full walk's result.  Beyond that, SAMPLED_PAIRS pairs
-    drawn from ``seed`` (always including (0, 0)) bound the cost, and the
-    result is explicitly a sampled verdict.
-    ``seed`` must be an integer >= 0 (ValueError otherwise).
+    always with the full walk's result.  Beyond that, the group's one fixed
+    draw of SAMPLED_PAIRS pairs (always including (0, 0)) bounds the cost,
+    and the result is explicitly a sampled verdict.
 
     Pairs are drawn in under 14 MiB whatever the number of factors and kept
-    for the two latest (orders, seed) keys (see _sampled_pairs), 12 MB each.
+    for the two latest groups (see _sampled_pairs), 12 MB each.
     """
-    seed = _as_int(seed, "seed", 0)
     if t.group.size <= ALL_PAIRS_CAP:
         worst = _all_pairs_worst(t.values)
     else:
-        worst = _sampled_defect(t.values, _sampled_pairs(t.group.orders, SAMPLED_PAIRS, seed))
+        worst = _sampled_defect(t.values, _sampled_pairs(t.group.orders))
     return worst <= HOM_TOL, worst
 
 

@@ -33,10 +33,16 @@ from charid.cli import (
     main,
     parse_input,
 )
-from charid.finite import CharacterTable, FiniteGroupSpec, character_table, identify_finite
+from charid.finite import (
+    SAMPLED_PAIRS,
+    CharacterTable,
+    FiniteGroupSpec,
+    character_table,
+    identify_finite,
+)
 from charid.identify import IdentifyConfig
 from charid.samples import LineSamples, TorusSamples
-from oracles import oracle_csv_values, oracle_fixture
+from oracles import oracle_csv_values, oracle_fixture, oracle_hom_residual
 
 
 def write(path, text):
@@ -442,6 +448,24 @@ def test_finite_exact_needs_every_pair_to_pass(tmp_path, capsys):
     _, out, _ = run_main(capsys, argv + ["0.5"])
     rep = json.loads(out)
     assert rep["hom_residual"] <= 0.5 and rep["verdict"] == "ExactCharacter"
+
+
+def test_finite_check_above_the_cap_ignores_the_probe_knobs(tmp_path, capsys):
+    # above ALL_PAIRS_CAP the check draws one fixed sample per group: the
+    # torus probe's --trials and --seed change neither it nor the report
+    fixture = str(tmp_path / "z65537.json")
+    assert main(["generate", "--mode", "finite", "--freq", "5", "--grid", "65537",
+                 "--noise", "1e-3", "--seed", "1", "--output", fixture]) == 0
+    capsys.readouterr()
+    argv = ["analyze", "--input", fixture, "--mode", "finite"]
+    outs = set()
+    for knobs in ([], ["--seed", "7"], ["--trials", "5", "--seed", "3"]):
+        code, out, _ = run_main(capsys, argv + knobs)
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+    values = parse_input(fixture, "finite").values
+    assert json.loads(outs.pop())["hom_residual"] == oracle_hom_residual(values, SAMPLED_PAIRS, 0)
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):
